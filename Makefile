@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race cover bench chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak fuzz experiments scale bench-compare diffcheck diffcheck-race clean
+.PHONY: all check build vet test race cover bench bench-e2e chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak fuzz experiments scale bench-compare diffcheck diffcheck-race clean
 
 all: build vet test
 
@@ -52,8 +52,20 @@ cover:
 		'/^total:/ { sub(/%/, "", $$3); if ($$3+0 < floor) { printf "FAIL: internal/server coverage %s%% below floor %d%%\n", $$3, floor; exit 1 } \
 		else printf "internal/server coverage %s%% (floor %d%%)\n", $$3, floor }'
 
+# Every Go benchmark, internal/spill's idle-budget pair included
+# (BenchmarkSpillIdleBudget vs BenchmarkBareLiveState: what a budget that
+# never binds costs per element).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# One end-to-end run of one workload against a real lmserved child, as the
+# acceptance driver invokes it (see benchmark/README.md):
+#   make bench-e2e W=bigstate SEED=1 TRACE=0
+W     ?= steady
+SEED  ?= 1
+TRACE ?= 0
+bench-e2e:
+	$(GO) run ./benchmark --workload $(W) --seed $(SEED) --seconds 16 --trace $(TRACE)
 
 # Seeded end-to-end fault drill: chaos soak + failover-latency measurement
 # (see DESIGN.md §6 and the failover section of EXPERIMENTS.md).

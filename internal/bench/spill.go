@@ -150,11 +150,10 @@ func SpillBound(scale Scale) SpillBoundResult {
 		}
 		tel := &obs.Spill{}
 		bm, err := spill.Wrap(core.NewR3(func(temporal.Element) {}), spill.Config{
-			Budget:     SpillBudget,
-			Dir:        dir,
-			ProbeEvery: 8,
-			Arity:      4,
-			Tel:        tel,
+			Budget: SpillBudget,
+			Dir:    dir,
+			Arity:  4,
+			Tel:    tel,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: spill wrap: %v", err))

@@ -42,7 +42,9 @@ func allocRound(tb testing.TB, m Merger) (round func(), elements int) {
 // creation (tree nodes, and for R4 the third-tier VeSets) but nothing
 // per-sweep — the budgets below are the measured post-optimisation costs
 // with headroom for allocator jitter, and exist to catch regressions such
-// as a reintroduced per-stable scratch allocation.
+// as a reintroduced per-stable scratch allocation. R3 and R4 are pinned at
+// their measured 0.97 (index node + tree node per event, two presentations
+// each): the incremental SizeBytes counter must not cost an allocation.
 func TestProcessAllocs(t *testing.T) {
 	discard := func(temporal.Element) {}
 	cases := []struct {
@@ -54,9 +56,9 @@ func TestProcessAllocs(t *testing.T) {
 		{"R1", NewR1(discard), 0},
 		{"R2", NewR2(discard), 0},
 		{"R2Dup", NewR2Dup(discard), 0},
-		{"R3", NewR3(discard), 1.3},
+		{"R3", NewR3(discard), 1},
 		{"R3Naive", NewR3Naive(discard), 2},
-		{"R4", NewR4(discard), 1.3},
+		{"R4", NewR4(discard), 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -56,9 +56,14 @@ func TestR3ExtractFrozenEligibility(t *testing.T) {
 	if fs.Bytes <= 0 || m.SizeBytes() != before-fs.Bytes {
 		t.Errorf("footprint: freed %d, size %d -> %d", fs.Bytes, before, m.SizeBytes())
 	}
+	requireExactSize(t, m, "after ExtractFrozen")
 
 	// Re-admission restores the snapshot surface exactly.
 	m.InstallFrozen(fs)
+	requireExactSize(t, m, "after InstallFrozen")
+	if m.SizeBytes() != before {
+		t.Errorf("footprint after reinstall %d, want %d", m.SizeBytes(), before)
+	}
 	ref := NewR3(func(temporal.Element) {})
 	ref.Attach(0)
 	ref.Attach(1)
@@ -148,6 +153,9 @@ func TestR3InstallFrozenDropsDeadFrames(t *testing.T) {
 	if m.Live() != live {
 		t.Errorf("dead frame re-admitted: Live %d, want %d", m.Live(), live)
 	}
+	if live != 0 || m.SizeBytes() != 0 {
+		t.Errorf("emptied index: Live %d, SizeBytes %d, want 0, 0", live, m.SizeBytes())
+	}
 	// The output saw the insert exactly once, no withdrawal.
 	if got := rec.tdb.Count(temporal.Ev(temporal.P(1), 10, 100)); got != 1 {
 		t.Errorf("output count = %d, want 1", got)
@@ -186,8 +194,11 @@ func TestR4ExtractInstallMultiset(t *testing.T) {
 		t.Errorf("split frame Ves = %+v, want %+v", fs.Frames[1].Ves, want)
 	}
 
+	requireExactSize(t, m, "after ExtractFrozen")
+
 	// Round-trip, then run to completion against an untouched reference.
 	m.InstallFrozen(fs)
+	requireExactSize(t, m, "after InstallFrozen")
 	refRec := newRecorder(t)
 	ref := NewR4(refRec.emit)
 	ref.Attach(0)

@@ -32,8 +32,10 @@ type Handoff interface {
 	// recipient clocks cannot be ordered by the drain barrier alone.
 	HandoffCapable() bool
 	// ExtractKeys removes and returns every live node whose payload matches,
-	// together with the donor's output stable point at extraction.
-	ExtractKeys(match func(temporal.Payload) bool) HandoffState
+	// together with the donor's output stable point at extraction. On error
+	// nothing was removed: a donor that cannot reach all of its state (the
+	// spill tier with an unreadable run) must not hand off a partial key set.
+	ExtractKeys(match func(temporal.Payload) bool) (HandoffState, error)
 	// InstallKeys merges a previously extracted state into this merger. The
 	// state must come from a merger of the same algorithm and the moved keys
 	// must be absent here.
@@ -57,7 +59,7 @@ func (m *R3) HandoffCapable() bool { return m.opts.Insert != InsertFullyFrozen }
 
 // ExtractKeys implements Handoff for R3: matching nodes are unlinked from the
 // two-tier index and handed over whole, second-tier entries included.
-func (m *R3) ExtractKeys(match func(temporal.Payload) bool) HandoffState {
+func (m *R3) ExtractKeys(match func(temporal.Payload) bool) (HandoffState, error) {
 	st := HandoffState{Clock: m.maxStable}
 	m.index.Ascend(func(n *index.Node2) bool {
 		if match(n.Event().Payload) {
@@ -69,7 +71,7 @@ func (m *R3) ExtractKeys(match func(temporal.Payload) bool) HandoffState {
 		m.index.DeleteNode(n.Key())
 	}
 	st.Keys = len(st.r3)
-	return st
+	return st, nil
 }
 
 // InstallKeys implements Handoff for R3.
@@ -85,7 +87,7 @@ func (m *R4) HandoffCapable() bool { return true }
 
 // ExtractKeys implements Handoff for R4: matching nodes are unlinked from the
 // three-tier index and handed over whole, per-stream Ve multisets included.
-func (m *R4) ExtractKeys(match func(temporal.Payload) bool) HandoffState {
+func (m *R4) ExtractKeys(match func(temporal.Payload) bool) (HandoffState, error) {
 	st := HandoffState{Clock: m.maxStable}
 	m.index.Ascend(func(n *index.Node3) bool {
 		if match(n.Event().Payload) {
@@ -97,7 +99,7 @@ func (m *R4) ExtractKeys(match func(temporal.Payload) bool) HandoffState {
 		m.index.DeleteNode(n.Key())
 	}
 	st.Keys = len(st.r4)
-	return st
+	return st, nil
 }
 
 // InstallKeys implements Handoff for R4.

@@ -9,13 +9,13 @@ import (
 )
 
 // spillStarved is the pathological spill configuration the differential axes
-// run under: a 1-byte budget probed at every element forces every
-// frozen-eligible node out of core immediately, and arity 2 keeps the
-// background compactor merging constantly. Runs stay in memory (Dir empty)
-// but still round-trip through the durable run codec, so framing bugs
-// surface here too.
+// run under: a 1-byte budget (checked at every element, with a zero-width
+// watermark gap so no attempt is ever gated) forces every frozen-eligible
+// node out of core immediately, and arity 2 keeps the background compactor
+// merging constantly. Runs stay in memory (Dir empty) but still round-trip
+// through the durable run codec, so framing bugs surface here too.
 func spillStarved() spill.Config {
-	return spill.Config{Budget: 1, ProbeEvery: 1, Arity: 2}
+	return spill.Config{Budget: 1, Arity: 2}
 }
 
 // runSpill is runDirect with the merger spill-wrapped under the starvation

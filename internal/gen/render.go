@@ -135,7 +135,7 @@ func (sc *Script) Render(o RenderOptions) temporal.Stream {
 			sinceInsert = true
 		}
 		forced := o.StableEvery > 0 && (i+1)%o.StableEvery == 0
-		if (forced || sinceInsert && rng.Float64() < o.StableFreq) {
+		if forced || sinceInsert && rng.Float64() < o.StableFreq {
 			if t := suffixMin[i+1]; t > lastStable && !t.IsInf() {
 				out = append(out, temporal.Stable(t))
 				lastStable = t

@@ -13,12 +13,18 @@ const OutputStream = -1
 // OutputStream entry for the Ve most recently reflected on the output.
 type In2t struct {
 	tree *Tree[temporal.VsPayload, *Node2]
+	// bytes is the running sum of Node2Bytes over the resident nodes, kept
+	// current by every mutation so SizeBytes is a field read.
+	bytes int
 }
 
 // Node2 is one top-tier node of an In2t.
 type Node2 struct {
 	event temporal.Event
 	ve    veTable
+	// home is the index holding the node (nil while it is in flight between
+	// two indexes): entry changes adjust home's byte total.
+	home *In2t
 }
 
 // veInline is the number of (stream, Ve) entries a node stores inline before
@@ -133,20 +139,29 @@ func (x *In2t) Get(k temporal.VsPayload) (*Node2, bool) {
 // (Algorithm R3 line 7). The caller must have checked the node is absent.
 func (x *In2t) AddNode(e temporal.Element) *Node2 {
 	n := &Node2{event: temporal.Event{Payload: e.Payload, Vs: e.Vs, Ve: e.Ve}}
-	x.tree.Put(e.Key(), n)
+	x.PutNode(n)
 	return n
 }
 
-// DeleteNode removes the node for key k (Algorithm R3 line 27).
+// DeleteNode removes the node for key k (Algorithm R3 line 27). The node
+// keeps its entries but stops counting toward any index.
 func (x *In2t) DeleteNode(k temporal.VsPayload) bool {
-	return x.tree.Delete(k)
+	n, ok := x.tree.Pop(k)
+	if ok {
+		x.bytes -= Node2Bytes(n)
+		n.home = nil
+	}
+	return ok
 }
 
 // PutNode installs an existing node under its own key, transplanting it from
 // another In2t with every per-stream entry intact (the state-handoff path of
-// partition rebalancing). The caller must ensure the key is absent.
+// partition rebalancing). The caller must ensure the key is absent here and
+// that the node was deleted from its previous index.
 func (x *In2t) PutNode(n *Node2) {
 	x.tree.Put(n.Key(), n)
+	n.home = x
+	x.bytes += Node2Bytes(n)
 }
 
 // FindHalfFrozen returns, in (Vs, Payload) order, the nodes whose Vs is less
@@ -178,15 +193,9 @@ func (x *In2t) Ascend(fn func(*Node2) bool) {
 }
 
 // SizeBytes approximates the memory footprint: per node, one shared payload
-// plus tree overhead, and 16 bytes per hash entry.
-func (x *In2t) SizeBytes() int {
-	total := 0
-	x.tree.Ascend(func(_ temporal.VsPayload, n *Node2) bool {
-		total += Node2Bytes(n)
-		return true
-	})
-	return total
-}
+// plus tree overhead, and 16 bytes per hash entry (the sum of Node2Bytes
+// over the resident nodes, maintained incrementally).
+func (x *In2t) SizeBytes() int { return x.bytes }
 
 // nodeOverhead approximates tree-node and header bytes per index node.
 const nodeOverhead = 64
@@ -202,10 +211,25 @@ func (n *Node2) Ve(s int) (temporal.Time, bool) { return n.ve.get(s) }
 
 // SetVe adds or updates the hash-table entry for stream s (AddHashEntry /
 // UpdateHashEntry in Algorithm R3).
-func (n *Node2) SetVe(s int, ve temporal.Time) { n.ve.put(s, ve) }
+func (n *Node2) SetVe(s int, ve temporal.Time) {
+	before := n.ve.len()
+	n.ve.put(s, ve)
+	n.grow(veEntryBytes * (n.ve.len() - before))
+}
 
 // DeleteStream drops stream s's entry, used when an input detaches.
-func (n *Node2) DeleteStream(s int) { n.ve.del(s) }
+func (n *Node2) DeleteStream(s int) {
+	before := n.ve.len()
+	n.ve.del(s)
+	n.grow(veEntryBytes * (n.ve.len() - before))
+}
+
+// grow charges d bytes to the home index.
+func (n *Node2) grow(d int) {
+	if d != 0 && n.home != nil {
+		n.home.bytes += d
+	}
+}
 
 // Streams returns the number of entries (inputs plus output).
 func (n *Node2) Streams() int { return n.ve.len() }

@@ -8,6 +8,9 @@ import "lmerge/internal/temporal"
 // second-tier entry holds a Ve-ordered multiset of occurrence counts.
 type In3t struct {
 	tree *Tree[temporal.VsPayload, *Node3]
+	// bytes is the running sum of Node3Bytes over the resident nodes, kept
+	// current by every mutation so SizeBytes is a field read.
+	bytes int
 }
 
 // n3Inline is the number of per-stream multisets a node stores inline
@@ -23,6 +26,9 @@ type Node3 struct {
 	n     int
 	small [n3Inline]streamVes
 	spill map[int]*VeSet
+	// home is the index holding the node (nil while it is in flight between
+	// two indexes): stream and distinct-Ve changes adjust home's byte total.
+	home *In3t
 }
 
 // streamVes is one (stream id, Ve multiset) entry of a Node3.
@@ -197,20 +203,29 @@ func (x *In3t) Get(k temporal.VsPayload) (*Node3, bool) {
 // AddNode creates a node for e's (Vs, Payload).
 func (x *In3t) AddNode(e temporal.Element) *Node3 {
 	n := &Node3{event: temporal.Event{Payload: e.Payload, Vs: e.Vs, Ve: e.Ve}}
-	x.tree.Put(e.Key(), n)
+	x.PutNode(n)
 	return n
 }
 
-// DeleteNode removes the node for key k.
+// DeleteNode removes the node for key k. The node keeps its multisets but
+// stops counting toward any index.
 func (x *In3t) DeleteNode(k temporal.VsPayload) bool {
-	return x.tree.Delete(k)
+	n, ok := x.tree.Pop(k)
+	if ok {
+		x.bytes -= Node3Bytes(n)
+		n.home = nil
+	}
+	return ok
 }
 
 // PutNode installs an existing node under its own key, transplanting it from
 // another In3t with every per-stream multiset intact (the state-handoff path
-// of partition rebalancing). The caller must ensure the key is absent.
+// of partition rebalancing). The caller must ensure the key is absent here
+// and that the node was deleted from its previous index.
 func (x *In3t) PutNode(n *Node3) {
 	x.tree.Put(n.Key(), n)
+	n.home = x
+	x.bytes += Node3Bytes(n)
 }
 
 // FindHalfFrozen returns, in key order, a snapshot of nodes with Vs < t.
@@ -239,15 +254,9 @@ func (x *In3t) Ascend(fn func(*Node3) bool) {
 }
 
 // SizeBytes approximates memory: one shared payload per node plus, per
-// stream entry, 16 bytes for each distinct Ve.
-func (x *In3t) SizeBytes() int {
-	total := 0
-	x.tree.Ascend(func(_ temporal.VsPayload, n *Node3) bool {
-		total += Node3Bytes(n)
-		return true
-	})
-	return total
-}
+// stream entry, 16 bytes and half a node overhead for each distinct Ve (the
+// sum of Node3Bytes over the resident nodes, maintained incrementally).
+func (x *In3t) SizeBytes() int { return x.bytes }
 
 // Event returns the node's shared representative event.
 func (n *Node3) Event() temporal.Event { return n.event }
@@ -313,16 +322,41 @@ func (n *Node3) eachStream(fn func(s int, vs *VeSet) bool) {
 	}
 }
 
+// streams returns the number of stream entries (inputs plus output).
+func (n *Node3) streams() int {
+	if n.spill != nil {
+		return len(n.spill)
+	}
+	return n.n
+}
+
+// grow charges d bytes to the home index.
+func (n *Node3) grow(d int) {
+	if d != 0 && n.home != nil {
+		n.home.bytes += d
+	}
+}
+
 // IncrementCount records one more occurrence of ve on stream s.
 func (n *Node3) IncrementCount(s int, ve temporal.Time) {
-	n.set(s, true).inc(ve)
+	streams := n.streams()
+	vs := n.set(s, true)
+	distinct := vs.distinct()
+	vs.inc(ve)
+	n.grow(veEntryBytes*(n.streams()-streams) + distinctVeBytes*(vs.distinct()-distinct))
 }
 
 // DecrementCount removes one occurrence of ve on stream s, reporting whether
 // an occurrence existed.
 func (n *Node3) DecrementCount(s int, ve temporal.Time) bool {
 	vs := n.set(s, false)
-	return vs != nil && vs.dec(ve)
+	if vs == nil {
+		return false
+	}
+	distinct := vs.distinct()
+	ok := vs.dec(ve)
+	n.grow(distinctVeBytes * (vs.distinct() - distinct))
+	return ok
 }
 
 // Count returns the total number of events for this node on stream s
@@ -372,6 +406,11 @@ func (n *Node3) VeCounts(s int) []VeCount {
 
 // DeleteStream drops stream s's VeSet, used when an input detaches.
 func (n *Node3) DeleteStream(s int) {
+	vs := n.set(s, false)
+	if vs == nil {
+		return
+	}
+	n.grow(-(veEntryBytes + distinctVeBytes*vs.distinct()))
 	if n.spill != nil {
 		delete(n.spill, s)
 		return

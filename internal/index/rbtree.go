@@ -69,15 +69,22 @@ func (t *Tree[K, V]) insert(h *treeNode[K, V], key K, val V) *treeNode[K, V] {
 
 // Delete removes key, reporting whether it was present.
 func (t *Tree[K, V]) Delete(key K) bool {
-	if _, ok := t.Get(key); !ok {
-		return false
+	_, ok := t.Pop(key)
+	return ok
+}
+
+// Pop removes key and returns the value it held.
+func (t *Tree[K, V]) Pop(key K) (V, bool) {
+	val, ok := t.Get(key)
+	if !ok {
+		return val, false
 	}
 	t.root = t.delete(t.root, key)
 	if t.root != nil {
 		t.root.red = false
 	}
 	t.size--
-	return true
+	return val, true
 }
 
 func (t *Tree[K, V]) delete(h *treeNode[K, V], key K) *treeNode[K, V] {

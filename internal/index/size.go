@@ -11,10 +11,17 @@ func NodeBytes[K, V any]() int {
 	return int(unsafe.Sizeof(treeNode[K, V]{}))
 }
 
+// veEntryBytes is one second-tier entry (stream → Ve, or stream → VeSet
+// header); distinctVeBytes is one third-tier distinct Ve.
+const (
+	veEntryBytes    = 16
+	distinctVeBytes = nodeOverhead / 2
+)
+
 // Node2Bytes returns one in2t node's contribution to SizeBytes: tree-node
 // and header overhead, the shared payload, and 16 bytes per hash entry.
 func Node2Bytes(n *Node2) int {
-	return nodeOverhead + n.event.Payload.SizeBytes() + 16*n.ve.len()
+	return nodeOverhead + n.event.Payload.SizeBytes() + veEntryBytes*n.ve.len()
 }
 
 // Node3Bytes returns one in3t node's contribution to SizeBytes: tree-node
@@ -23,7 +30,7 @@ func Node2Bytes(n *Node2) int {
 func Node3Bytes(n *Node3) int {
 	total := nodeOverhead + n.event.Payload.SizeBytes()
 	n.eachStream(func(_ int, vs *VeSet) bool {
-		total += 16 + nodeOverhead/2*vs.distinct()
+		total += veEntryBytes + distinctVeBytes*vs.distinct()
 		return true
 	})
 	return total

@@ -267,9 +267,8 @@ func (n *Node) SetLive(nodes int) {
 	n.liveNodes.Store(int64(nodes))
 }
 
-// SetStateBytes updates the state-size gauge. Sizing walks the merge index,
-// so collectors call this from cold paths (stats queries, periodic logs),
-// never per element.
+// SetStateBytes updates the state-size gauge. Collectors call it when they
+// are polled (stats queries, periodic logs), not per element.
 func (n *Node) SetStateBytes(b int) {
 	if n == nil {
 		return

@@ -275,7 +275,10 @@ func (m *merger) MigrateSlot(slot, to int) bool {
 	if m.subs[to].MaxStable() > m.subs[from].MaxStable() {
 		return false
 	}
-	st := donor.ExtractKeys(slotMatcher(m.key, slot))
+	st, err := donor.ExtractKeys(slotMatcher(m.key, slot))
+	if err != nil {
+		return false // the donor kept every key: the slot stays where it is
+	}
 	m.table = m.table.clone()
 	m.table.owner[slot] = int32(to)
 	recipient.InstallKeys(st)

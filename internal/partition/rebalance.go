@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -95,7 +96,15 @@ func (s *Sharded) completeMigration(w *shardWorker) {
 		}
 		var st core.HandoffState
 		if capable {
-			st = h.ExtractKeys(slotsMatcher(s.key, slots))
+			var err error
+			if st, err = h.ExtractKeys(slotsMatcher(s.key, slots)); err != nil {
+				// Routing flipped at cutover and there is no abort path, so the
+				// slots' keys are now stranded at the donor: fail the pool (the
+				// sticky error reaches every publisher's next ProcessBatch)
+				// rather than merge on without them. The recipient still gets
+				// its (empty) install so it unfreezes.
+				s.recordErr(fmt.Errorf("partition: migrating slots %v from worker %d: %w", slots, mig.from, err))
+			}
 		}
 		w.tel.Migrated(mig.from, mv.to, st.Clock, st.Keys)
 		s.tel.Migrated(mig.from, mv.to, st.Clock, st.Keys)

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lmerge/internal/core"
 	"lmerge/internal/obs"
@@ -98,17 +97,10 @@ type Sharded struct {
 	handoff   bool // workers' algorithm supports core.Handoff
 	reb       *rebalancer
 
-	// coldMu serialises cold-path worker queries; statsReply/sizeReply are
-	// their reusable reply lanes (allocated once, not per call).
+	// coldMu serialises cold-path worker queries; statsReply is their
+	// reusable reply lane (allocated once, not per call).
 	coldMu     sync.Mutex
 	statsReply chan core.Stats
-	sizeReply  chan int
-
-	// sizeTTL caches SizeBytes sweeps (ShardSizeCache); sizeCached/sizeStamp
-	// hold the last total and its UnixNano timestamp (0 = never swept).
-	sizeTTL    time.Duration
-	sizeCached atomic.Int64
-	sizeStamp  atomic.Int64
 
 	manualMigs atomic.Int64 // completed MigrateSlot calls
 
@@ -161,7 +153,10 @@ type shardWorker struct {
 	wake   chan struct{}
 
 	processed atomic.Int64
-	tel       *obs.Node
+	// size is the merger's SizeBytes as of the worker's last loop pass that
+	// did any work, published so Sharded.SizeBytes never queues behind data.
+	size atomic.Int64
+	tel  *obs.Node
 
 	// Worker-goroutine-local state (no locking).
 	out     []temporal.Element // staged emissions, flushed per drain
@@ -174,7 +169,6 @@ type ctlKind uint8
 
 const (
 	ctlStats ctlKind = iota
-	ctlSize
 	ctlAttach
 	ctlPrepare
 	ctlMigrate
@@ -185,7 +179,6 @@ const (
 type ctlMsg struct {
 	kind       ctlKind
 	statsReply chan core.Stats
-	sizeReply  chan int
 	id         core.StreamID // ctlAttach: stream to register
 	joinTime   temporal.Time // ctlAttach: its join point
 	ack        chan struct{} // ctlAttach: completion barrier
@@ -210,7 +203,6 @@ type shardedConfig struct {
 	reg       *obs.Registry
 	obsName   string
 	rebalance *RebalanceConfig
-	sizeTTL   time.Duration
 	wrap      func(part int, m core.Merger) core.Merger
 }
 
@@ -245,20 +237,6 @@ func ShardFeedback(fn core.FeedbackFunc, lag temporal.Time) ShardedOption {
 	return func(c *shardedConfig) {
 		c.fb = fn
 		c.lag = lag
-	}
-}
-
-// ShardSizeCache bounds how often SizeBytes performs the real per-worker
-// control-lane sweep: results younger than ttl are served from a cached
-// value. Each sweep both walks every partition index AND costs one queued
-// control round trip per worker, so callers that poll (the server's stats
-// tick and /metrics handler) would otherwise stall the data plane on every
-// call. Zero ttl (the default) keeps every call exact.
-func ShardSizeCache(ttl time.Duration) ShardedOption {
-	return func(c *shardedConfig) {
-		if ttl > 0 {
-			c.sizeTTL = ttl
-		}
 	}
 }
 
@@ -299,8 +277,6 @@ func NewSharded(parts int, mk func(core.Emit) core.Merger, emit core.Emit, opts 
 		ffSent:     make(map[core.StreamID]temporal.Time),
 		prepReply:  make(chan temporal.Time, 1),
 		statsReply: make(chan core.Stats, 1),
-		sizeReply:  make(chan int, 1),
-		sizeTTL:    cfg.sizeTTL,
 	}
 	s.table.Store(newRouteTable(parts))
 	s.maxStable.Store(int64(temporal.MinTime))
@@ -372,6 +348,7 @@ func (s *Sharded) run(w *shardWorker) {
 			did = true
 		}
 		if did {
+			w.publishSize()
 			idle = 0
 			continue
 		}
@@ -393,6 +370,7 @@ func (s *Sharded) run(w *shardWorker) {
 		case <-w.wake:
 		case m := <-w.ctl:
 			s.handleCtl(w, m)
+			w.publishSize()
 		}
 		w.parked.Store(false)
 		idle = 0
@@ -456,8 +434,6 @@ func (s *Sharded) handleCtl(w *shardWorker, m ctlMsg) {
 	switch m.kind {
 	case ctlStats:
 		m.statsReply <- *w.op.Merger().Stats()
-	case ctlSize:
-		m.sizeReply <- w.op.Merger().SizeBytes()
 	case ctlAttach:
 		// Runs on the control lane, not the rings: an attach must be ordered
 		// against every publisher's traffic (a worker that merges some other
@@ -810,35 +786,19 @@ func (s *Sharded) Stats() core.Stats {
 	return st
 }
 
-// SizeBytes sums the workers' merge-state footprints, gathered through the
-// control lanes on a reusable reply channel (sizing walks each partition's
-// index, so this is a cold-path call — stats queries and periodic logs —
-// never per element). Under ShardSizeCache a sweep younger than the TTL is
-// served from cache, so pollers (the server's stats tick plus the /metrics
-// handler, each calling this independently) trigger at most one per-worker
-// round-trip sweep per window instead of one per call. It also refreshes the
-// pool telemetry node's state gauge when one is attached.
+// SizeBytes sums the workers' merge-state footprints: each worker publishes
+// its merger's size (a field read for the index-backed algorithms) after
+// every loop pass that did work, so this is a sum of atomic loads that never
+// touches the control lanes — exact once the workers are quiescent, at most
+// one drain pass behind while they run. It also refreshes the pool telemetry
+// node's state gauge when one is attached.
 func (s *Sharded) SizeBytes() int {
 	if s.closed.Load() {
 		return 0
 	}
-	if s.sizeTTL > 0 {
-		if stamp := s.sizeStamp.Load(); stamp != 0 &&
-			time.Now().UnixNano()-stamp < s.sizeTTL.Nanoseconds() {
-			return int(s.sizeCached.Load())
-		}
-	}
-	s.coldMu.Lock()
 	total := 0
 	for _, w := range s.workers {
-		w.ctl <- ctlMsg{kind: ctlSize, sizeReply: s.sizeReply}
-		w.wakeUp()
-		total += <-s.sizeReply
-	}
-	s.coldMu.Unlock()
-	if s.sizeTTL > 0 {
-		s.sizeCached.Store(int64(total))
-		s.sizeStamp.Store(time.Now().UnixNano())
+		total += int(w.size.Load())
 	}
 	s.tel.SetStateBytes(total)
 	return total
@@ -969,6 +929,9 @@ func (s *Sharded) Close() error {
 }
 
 // --- shardWorker helpers ---
+
+// publishSize makes the merger's current footprint visible to SizeBytes.
+func (w *shardWorker) publishSize() { w.size.Store(int64(w.op.Merger().SizeBytes())) }
 
 func (w *shardWorker) ringList() []*spscRing {
 	if p := w.rings.Load(); p != nil {

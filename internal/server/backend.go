@@ -27,9 +27,10 @@ type backend interface {
 	// PartitionStats returns per-partition load gauges; nil for the single
 	// backend.
 	PartitionStats() []partition.PartitionStat
-	// SizeBytes estimates the merge state footprint. It walks the merge
-	// index (and, partitioned, round-trips the worker queues), so callers
-	// keep it on cold paths: stats queries and periodic logs.
+	// SizeBytes estimates the merge state footprint. The mergers keep it as
+	// a running total, so it is cheap enough for every /metrics scrape and
+	// stats tick: the single backend reads it under its lock, the sharded
+	// one sums per-worker atomics without touching the worker queues.
 	SizeBytes() int
 	Close() error
 }

@@ -550,8 +550,10 @@ type Subscriber struct {
 	sc   *bufio.Scanner
 	fr   *wire.Reader
 	// Credit accounting (binary): sinceGrant counts consumed frame bytes; at
-	// half the window a CREDIT frame replenishes the server, so delivery never
-	// pauses while this consumer keeps up.
+	// a quarter of the window a CREDIT frame replenishes the server, so the
+	// server always holds at least three quarters of it. Granting later lets
+	// a server that produces faster than one grant round trip run dry on
+	// every grant, and what it cannot send queues in its broadcast log.
 	window     int64
 	sinceGrant int64
 	gbuf       []byte
@@ -655,7 +657,7 @@ func (s *Subscriber) nextBinary() (temporal.Element, bool) {
 			return temporal.Element{}, false
 		}
 		s.sinceGrant += wire.FrameHeader + 1 + int64(len(body))
-		if s.sinceGrant >= s.window/2 {
+		if s.sinceGrant >= s.window/4 {
 			// Replenish before delivering: the grant rides ahead of however
 			// long the caller sits on this element.
 			s.gbuf = wire.AppendCredit(s.gbuf[:0], s.sinceGrant)

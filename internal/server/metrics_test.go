@@ -210,3 +210,96 @@ func TestMetricsEndpointPartitioned(t *testing.T) {
 		t.Error("missing partition_stats in service gauges")
 	}
 }
+
+// TestStateBytesGaugeFreshUnderPolling scrapes /metrics and Telemetry() in a
+// tight loop while a publisher runs (what `go test -race -cpu 1,2,4` should
+// see), on the single and the sharded backend, and checks the state gauge at
+// two quiescent points: with long-lived events resident it is positive, and
+// the moment stable(∞) has retired them it reads zero on both surfaces. The
+// second read comes well inside any plausible poll interval of the first:
+// the gauge is a sum of counters the mergers maintain, not a cached sweep.
+func TestStateBytesGaugeFreshUnderPolling(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		s, err := NewWithOptions("127.0.0.1:0", Options{Case: core.CaseR3, FeedbackLag: -1, Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var polls sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			polls.Add(1)
+			go func(i int) {
+				defer polls.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if i == 0 {
+						rec := httptest.NewRecorder()
+						s.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+					} else {
+						s.Telemetry()
+					}
+				}
+			}(i)
+		}
+		sub, err := Subscribe(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Connect(s.Addr(), temporal.MinTime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// gauge sends els, waits for the closing stable to come out merged
+		// (then, sharded, for one control round trip per worker twice: a
+		// worker publishes its size at the end of the pass that answered the
+		// first) and reads the gauge off both surfaces.
+		gauge := func(els temporal.Stream) (page, node int64) {
+			t.Helper()
+			if err := p.SendStream(els); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for want := els[len(els)-1]; ; {
+				e, ok := sub.Next()
+				if !ok {
+					t.Fatal("subscriber closed early")
+				}
+				if e == want {
+					break
+				}
+			}
+			s.Stats()
+			s.Stats()
+			var pg obs.MetricsPage
+			fetchMetrics(t, s, "/metrics", &pg)
+			for _, n := range s.Telemetry() {
+				if n.Name == "merge" {
+					node = n.StateBytes
+				}
+			}
+			return int64(pg.Service["merge_state_bytes"].(float64)), node
+		}
+		var els temporal.Stream
+		for i := 0; i < 400; i++ {
+			els = append(els, temporal.Insert(temporal.P(int64(i)), temporal.Time(i+1), 1<<40))
+		}
+		if page, node := gauge(append(els, temporal.Stable(401))); page <= 0 || node != page {
+			t.Errorf("partitions=%d: %d live events resident: merge_state_bytes %d, merge node gauge %d; want equal and positive",
+				parts, len(els), page, node)
+		}
+		if page, node := gauge(temporal.Stream{temporal.Stable(temporal.Infinity)}); page != 0 || node != 0 {
+			t.Errorf("partitions=%d: right after stable(∞): merge_state_bytes %d, merge node gauge %d; want 0, 0", parts, page, node)
+		}
+		close(stop)
+		polls.Wait()
+		p.Close()
+		sub.Close()
+		s.Close()
+	}
+}

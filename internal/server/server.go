@@ -135,12 +135,6 @@ type pubState struct {
 // with a full socket buffer can never stall the merge or the supervisor.
 const ctrlWriteTimeout = time.Second
 
-// sizeSweepTTL is how long a sharded SizeBytes sweep is served from cache
-// (see partition.ShardSizeCache): the stats tick and the /metrics handler
-// each poll independently, and an exact sweep costs one control-lane round
-// trip per worker.
-const sizeSweepTTL = 250 * time.Millisecond
-
 // writeCtrl writes one control line with a bounded deadline.
 func (ps *pubState) writeCtrl(format string, args ...any) {
 	ps.wmu.Lock()
@@ -390,10 +384,6 @@ func NewWithOptions(addr string, opts Options) (*Server, error) {
 	if opts.Partitions > 1 {
 		shOpts := []partition.ShardedOption{
 			partition.ShardObserve(s.reg, "merge"),
-			// Both the stats tick and /metrics poll SizeBytes; each exact
-			// sweep round-trips every worker's control lane, so cap the sweeps
-			// instead of paying one per caller.
-			partition.ShardSizeCache(sizeSweepTTL),
 		}
 		if fb != nil {
 			shOpts = append(shOpts, partition.ShardFeedback(fb, lag))
@@ -588,8 +578,8 @@ func (s *Server) WireStats() obs.WireSnapshot { return s.wireTel.Snapshot() }
 func (s *Server) Observability() *obs.Registry { return s.reg }
 
 // Telemetry returns a point-in-time snapshot of every telemetry node,
-// refreshing the merge node's state-size gauge first (an index walk — cold
-// path only).
+// refreshing the merge node's state-size gauge first (a counter read, so
+// polling it costs the merge path nothing).
 func (s *Server) Telemetry() []obs.Snapshot {
 	s.tel.SetStateBytes(s.be.SizeBytes())
 	return s.reg.Snapshot()

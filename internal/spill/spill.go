@@ -16,8 +16,9 @@ import (
 // Config tunes one spill-wrapped merger.
 type Config struct {
 	// Budget is the resident high watermark in SizeBytes units. The
-	// controller spills down to 3/4 of it whenever a probe sees resident
-	// bytes above it. Non-positive disables spilling (pass-through).
+	// controller checks it after every element (SizeBytes is a field read)
+	// and spills down to 3/4 of it when resident bytes exceed it.
+	// Non-positive disables spilling (pass-through).
 	Budget int
 	// Dir is the run directory, owned (wiped at Wrap, removed at Close) by
 	// this merger. Empty keeps runs in memory — used by the differential
@@ -26,10 +27,6 @@ type Config struct {
 	// Arity is the background merger's fan-in: member-set groups reaching
 	// this many runs are compacted into one. Default 4.
 	Arity int
-	// ProbeEvery is how many processed elements separate SizeBytes probes
-	// (the probe walks the index, so per-element probing would be
-	// quadratic). Default 64.
-	ProbeEvery int
 	// Tel receives spill telemetry; nil is fine, and one Tel may be shared
 	// across workers (gauges are maintained by delta).
 	Tel *obs.Spill
@@ -69,7 +66,12 @@ type Merger struct {
 	// background merger's frame GC (a stale floor is merely conservative).
 	floor atomic.Int64
 
-	ops       int   // elements since the last SizeBytes probe
+	// heldStable and heldBytes are the retry gate: the inner frontier and
+	// the resident size after the last spill attempt that left the merger
+	// over budget (everything else resident was hot). See maybeSpill.
+	heldStable temporal.Time
+	heldBytes  int
+
 	lastBytes int64 // last resident-bytes gauge contribution reported
 
 	kick   chan struct{}
@@ -90,9 +92,6 @@ func Wrap(m core.Merger, cfg Config) (*Merger, error) {
 	if cfg.Arity < 2 {
 		cfg.Arity = 4
 	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 64
-	}
 	var blobs blobStore
 	if cfg.Dir == "" {
 		blobs = newMemBlobs()
@@ -108,6 +107,8 @@ func Wrap(m core.Merger, cfg Config) (*Merger, error) {
 		st:    newStore(blobs, cfg.Tel),
 		isR3:  m.Case() == core.CaseR3,
 		kick:  make(chan struct{}, 1),
+
+		heldStable: temporal.MinTime,
 	}
 	w.floor.Store(int64(temporal.MinTime))
 	w.wg.Add(1)
@@ -188,6 +189,7 @@ func (w *Merger) Process(s core.StreamID, e temporal.Element) error {
 		err := w.inner.Process(s, e)
 		w.floor.Store(int64(w.inner.MaxStable()))
 		w.maybeSpill()
+		w.reportBytes()
 		return err
 	}
 	if e.Kind == temporal.KindInsert || e.Kind == temporal.KindAdjust {
@@ -211,6 +213,11 @@ func (w *Merger) Process(s core.StreamID, e temporal.Element) error {
 // stream is a run member and re-presents the agreed end time. Anything else
 // re-admits the run and lets the inner merger proceed normally.
 func (w *Merger) consult(s core.StreamID, e temporal.Element) (bool, error) {
+	// No run reaches e.Vs — in particular, nothing is out of core at all
+	// (the fence then sits at MinTime): no hashing, locking or allocation.
+	if int64(e.Vs) > w.st.fence.Load() {
+		return false, nil
+	}
 retry:
 	h := fingerprint(e.Vs, e.Payload)
 	for _, r := range w.st.candidates(e.Vs, h) {
@@ -291,33 +298,43 @@ func (w *Merger) install(r *run, frames []core.FrozenFrame) {
 	w.cfg.Tel.Unspilled()
 }
 
-// maybeSpill is the watermark controller: every ProbeEvery elements it
-// probes SizeBytes (an index walk — bounded by the budget itself, so the
-// amortized cost per element is a small constant) and, above the budget,
-// extracts frozen state down to the low watermark.
+// maybeSpill is the watermark controller, run after every element: SizeBytes
+// is a field read plus an atomic load, so under a budget that does not bind
+// it costs one compare. Above the budget it extracts frozen state down to
+// the low watermark.
+//
+// An attempt that leaves the merger over budget found everything else
+// resident hot (or could not write the run), and extraction scans the whole
+// frozen-started prefix, so it is not repeated per element: the next attempt
+// waits until the stable frontier advances — the event that freezes state —
+// or resident bytes grow by another watermark gap.
 func (w *Merger) maybeSpill() {
 	if w.cfg.Budget <= 0 {
 		return
 	}
-	w.ops++
-	if w.ops < w.cfg.ProbeEvery {
+	size := w.SizeBytes()
+	if size <= w.cfg.Budget ||
+		(w.inner.MaxStable() <= w.heldStable && size-w.heldBytes < w.watermarkGap()) {
 		return
 	}
-	w.ops = 0
-	size := w.SizeBytes()
-	if size > w.cfg.Budget {
-		size = w.spillDown(size)
+	w.spillDown(size)
+	if size = w.SizeBytes(); size > w.cfg.Budget {
+		w.heldStable, w.heldBytes = w.inner.MaxStable(), size
 	}
-	w.reportBytes(int64(size))
+	w.reportBytes()
 }
 
-// spillDown extracts one frozen slice targeting the low watermark (3/4 of
-// the budget) and publishes it as a run. Returns the post-spill estimate.
-func (w *Merger) spillDown(size int) int {
-	low := w.cfg.Budget - w.cfg.Budget/4
+// watermarkGap is the distance between the high watermark (the budget) and
+// the low one spills aim for.
+func (w *Merger) watermarkGap() int { return w.cfg.Budget / 4 }
+
+// spillDown extracts one frozen slice targeting the low watermark and
+// publishes it as a run.
+func (w *Merger) spillDown(size int) {
+	low := w.cfg.Budget - w.watermarkGap()
 	fs, ok := w.inner.ExtractFrozen(size - low)
 	if !ok {
-		return size // everything resident is hot; nothing to do
+		return // everything resident is hot; nothing to do
 	}
 	payload := encodeFrames(fs.Frames)
 	meta := durable.RunMeta{
@@ -332,7 +349,7 @@ func (w *Merger) spillDown(size int) int {
 		// Run storage failed (disk full?): keep the state resident — the
 		// budget goes soft but nothing is lost.
 		w.inner.InstallFrozen(fs)
-		return size
+		return
 	}
 	hashes := make([]uint64, len(fs.Frames))
 	for i, fr := range fs.Frames {
@@ -350,15 +367,16 @@ func (w *Merger) spillDown(size int) int {
 	case w.kick <- struct{}{}:
 	default:
 	}
-	return size - fs.Bytes + r.overhead()
 }
 
 // reportBytes maintains this merger's contribution to the shared
-// resident-bytes gauge by delta.
-func (w *Merger) reportBytes(size int64) {
-	if w.cfg.Tel == nil {
+// resident-bytes gauge by delta. The gauge is shared across partition
+// workers, so it is refreshed at stables and spill attempts, not per element.
+func (w *Merger) reportBytes() {
+	if w.cfg.Tel == nil || w.cfg.Budget <= 0 {
 		return
 	}
+	size := int64(w.SizeBytes())
 	w.cfg.Tel.AddResident(size-w.lastBytes, 0, 0)
 	w.lastBytes = size
 }
@@ -408,13 +426,12 @@ func (w *Merger) HandoffCapable() bool { return w.inner.HandoffCapable() }
 
 // ExtractKeys implements core.Handoff. The inner walk only sees resident
 // nodes, so every run is re-admitted first — otherwise spilled keys would
-// be stranded at the donor while routing sends their traffic elsewhere.
-func (w *Merger) ExtractKeys(match func(temporal.Payload) bool) core.HandoffState {
+// be stranded at the donor while routing sends their traffic elsewhere. An
+// unreadable run (a damaged or deleted file; in-memory blobs cannot fail)
+// aborts the handoff with every resident key still here.
+func (w *Merger) ExtractKeys(match func(temporal.Payload) bool) (core.HandoffState, error) {
 	if err := w.unspillAll(); err != nil {
-		// Nothing to do but proceed with what is resident; the store is
-		// our own written-and-fsync-free data, so this does not happen in
-		// practice.
-		_ = err
+		return core.HandoffState{}, fmt.Errorf("spill: re-admitting runs for handoff: %w", err)
 	}
 	return w.inner.ExtractKeys(match)
 }

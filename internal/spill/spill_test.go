@@ -1,7 +1,10 @@
 package spill
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lmerge/internal/core"
@@ -151,7 +154,7 @@ func TestSpillEquivalence(t *testing.T) {
 			drive(t, ref, streams, nil)
 
 			tel := &obs.Spill{}
-			cfg := Config{Budget: 1, ProbeEvery: 1, Arity: 2, Tel: tel}
+			cfg := Config{Budget: 1, Arity: 2, Tel: tel}
 			if tc.dir {
 				cfg.Dir = t.TempDir()
 			}
@@ -195,7 +198,7 @@ func TestSpillSnapshotIncludesSpilled(t *testing.T) {
 		drive(t, ref, half, nil)
 
 		tel := &obs.Spill{}
-		sp, err := Wrap(core.New(newCase(dup), func(temporal.Element) {}), Config{Budget: 1, ProbeEvery: 1, Arity: 2, Tel: tel})
+		sp, err := Wrap(core.New(newCase(dup), func(temporal.Element) {}), Config{Budget: 1, Arity: 2, Tel: tel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +238,7 @@ func TestSpillDetach(t *testing.T) {
 		run(ref)
 
 		var out temporal.Stream
-		sp, err := Wrap(core.New(newCase(dup), func(e temporal.Element) { out = append(out, e) }), Config{Budget: 1, ProbeEvery: 1, Arity: 2})
+		sp, err := Wrap(core.New(newCase(dup), func(e temporal.Element) { out = append(out, e) }), Config{Budget: 1, Arity: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +313,7 @@ func TestSpillSoak(t *testing.T) {
 			tel := &obs.Spill{}
 			var out temporal.Stream
 			sp, err := Wrap(core.New(newCase(tc.dup), func(e temporal.Element) { out = append(out, e) }),
-				Config{Budget: budget, ProbeEvery: 8, Arity: 3, Dir: t.TempDir(), Tel: tel})
+				Config{Budget: budget, Arity: 3, Dir: t.TempDir(), Tel: tel})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -374,7 +377,7 @@ func TestSpillHandoffRoundTrip(t *testing.T) {
 	attachAll(ref, len(streams))
 
 	var out temporal.Stream
-	sp, err := Wrap(core.New(core.CaseR4, func(e temporal.Element) { out = append(out, e) }), Config{Budget: 1, ProbeEvery: 1, Arity: 2})
+	sp, err := Wrap(core.New(core.CaseR4, func(e temporal.Element) { out = append(out, e) }), Config{Budget: 1, Arity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,12 +399,223 @@ func TestSpillHandoffRoundTrip(t *testing.T) {
 			if !sp.HandoffCapable() {
 				t.Fatal("wrapped merger lost handoff capability")
 			}
-			hs := sp.ExtractKeys(func(temporal.Payload) bool { return true })
+			hs, err := sp.ExtractKeys(func(temporal.Payload) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
 			if runs, _ := sp.st.stats(); runs != 0 {
 				t.Fatalf("%d runs still out of core after ExtractKeys", runs)
 			}
+			// Every key left: the running byte total and the manifest
+			// overhead must both be back at zero, not merely small.
+			if sp.SizeBytes() != 0 {
+				t.Fatalf("emptied merger reports %d bytes (inner %d, manifest %d)",
+					sp.SizeBytes(), sp.inner.SizeBytes(), sp.st.overheadBytes())
+			}
 			sp.InstallKeys(hs)
+			// With every run re-admitted the wrapper holds exactly the state
+			// the never-spilled reference holds, to the byte.
+			if got, want := sp.SizeBytes(), ref.SizeBytes(); got != want {
+				t.Fatalf("SizeBytes after handoff round trip %d, reference %d", got, want)
+			}
 		}
 	}
 	requireSameTDB(t, out, refOut, "post-handoff output")
+}
+
+// countingExtractor counts ExtractFrozen calls reaching the inner merger.
+type countingExtractor struct {
+	core.FrozenExtractor
+	calls int
+}
+
+func (c *countingExtractor) ExtractFrozen(shed int) (core.FrozenSlice, bool) {
+	c.calls++
+	return c.FrozenExtractor.ExtractFrozen(shed)
+}
+
+// TestSpillRetryGate pins the retry-storm fix. Two streams are attached but
+// only one presents: every node lacks the laggard's vouch, so the whole
+// index is hot and no extraction can free a byte, while never-ending events
+// push resident bytes to many times the budget. With the watermark checked
+// at every element, an ungated controller would rescan the frozen-started
+// prefix once per element; the gate allows one attempt per stable-frontier
+// advance plus one per watermark gap of growth.
+func TestSpillRetryGate(t *testing.T) {
+	const budget = 64 << 10
+	inner := &countingExtractor{FrozenExtractor: core.NewR3(func(temporal.Element) {})}
+	sp, err := Wrap(inner, Config{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	attachAll(sp, 2)
+	const elements = 4000
+	advances := 0
+	for i := 0; i < elements; i++ {
+		v := temporal.Time(i + 1)
+		e := temporal.Insert(temporal.Payload{ID: int64(i), Data: "hot"}, v, temporal.Infinity)
+		if i%200 == 199 {
+			e = temporal.Stable(v)
+		}
+		before := sp.MaxStable()
+		if err := sp.Process(1, e); err != nil {
+			t.Fatal(err)
+		}
+		if sp.MaxStable() > before {
+			advances++
+		}
+	}
+	size := sp.SizeBytes()
+	if runs, _ := sp.st.stats(); runs != 0 || size < 4*budget {
+		t.Fatalf("setup: %d runs, %d resident bytes; want nothing extractable and >= %d", runs, size, 4*budget)
+	}
+	if advances == 0 {
+		t.Fatal("setup: the frontier never advanced")
+	}
+	// One attempt when the budget first binds, then one per frontier
+	// advance and one per gap of growth.
+	limit := 1 + advances + (size-budget)/sp.watermarkGap()
+	if inner.calls == 0 || inner.calls > limit {
+		t.Errorf("%d ExtractFrozen calls over %d elements (%d frontier advances, %d -> %d bytes); want 1..%d",
+			inner.calls, elements, advances, budget, size, limit)
+	}
+	t.Logf("%d ExtractFrozen calls, %d frontier advances, %d elements", inner.calls, advances, elements)
+}
+
+// TestSpillExtractKeysUnreadableRun: a donor whose run file was damaged
+// behind its back cannot reach all of its state, so ExtractKeys must refuse —
+// returning the error with every resident key still in place — instead of
+// handing off the resident part and stranding the rest. (In-memory blobs
+// cannot fail this way: a run claimed by takeAny has left the manifest, so
+// the compactor's commit over it aborts and never removes its blob, and the
+// payload is our own encoder's output. TestSpillHandoffRoundTrip covers that
+// side.)
+func TestSpillExtractKeysUnreadableRun(t *testing.T) {
+	streams := renderWorkload(53, 160, 3, false)
+	for i, s := range streams {
+		streams[i] = s[:len(s)/2]
+	}
+	dir := t.TempDir()
+	sp, err := Wrap(core.New(core.CaseR3, func(temporal.Element) {}), Config{Budget: 1, Arity: 1 << 20, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	attachAll(sp, len(streams))
+	drive(t, sp, streams, nil)
+	runs := sp.st.all()
+	if len(runs) == 0 {
+		t.Fatal("setup: nothing out of core")
+	}
+	if err := os.Truncate(filepath.Join(dir, runs[0].name), 5); err != nil {
+		t.Fatal(err)
+	}
+	hs, err := sp.ExtractKeys(func(temporal.Payload) bool { return true })
+	if err == nil {
+		t.Fatal("ExtractKeys over a truncated run file: want an error")
+	}
+	if hs.Keys != 0 || sp.inner.SizeBytes() == 0 {
+		t.Errorf("failed handoff moved state: %d keys extracted, %d bytes left resident", hs.Keys, sp.inner.SizeBytes())
+	}
+}
+
+// liveRound returns a closure feeding m one round of the long-lived-state
+// shape — 64 fresh events presented on both inputs, a stable after every
+// stableEvery-th event, each event living `window` ticks so about that many
+// stay resident — and returning the number of elements it fed. The 1000-byte
+// data string is shared, as a decoded batch's payloads are not, which only
+// makes the per-element bookkeeping stand out more.
+func liveRound(tb testing.TB, m core.Merger, window, stableEvery temporal.Time) (round func() int) {
+	m.Attach(0)
+	m.Attach(1)
+	data := strings.Repeat("x", 1000)
+	v := temporal.Time(0)
+	return func() int {
+		fed := 0
+		for i := 0; i < 64; i++ {
+			v++
+			e := temporal.Insert(temporal.Payload{ID: int64(v), Data: data}, v, v+window)
+			for s := 0; s < 2; s++ {
+				if err := m.Process(s, e); err != nil {
+					tb.Fatalf("stream %d rejected %v: %v", s, e, err)
+				}
+			}
+			fed += 2
+			if v%stableEvery == 0 {
+				if err := m.Process(0, temporal.Stable(v-8)); err != nil {
+					tb.Fatalf("stable rejected: %v", err)
+				}
+				fed++
+			}
+		}
+		return fed
+	}
+}
+
+// idleBudget is far above anything the tests and benchmarks below hold
+// resident: the budget never binds and the store stays empty.
+const idleBudget = 1 << 30
+
+// TestIdleBudgetAllocs: a budget that does not bind must not cost an
+// allocation — the wrapped merger allocates exactly what the bare one does
+// for the same elements (index nodes), nothing for consulting an empty store
+// or checking the watermark.
+func TestIdleBudgetAllocs(t *testing.T) {
+	measure := func(m core.Merger) float64 {
+		round := liveRound(t, m, 64, 16)
+		for i := 0; i < 50; i++ {
+			round() // steady state: scratch slices at capacity
+		}
+		return testing.AllocsPerRun(20, func() { round() })
+	}
+	bare := measure(core.NewR3(func(temporal.Element) {}))
+	sp, err := Wrap(core.NewR3(func(temporal.Element) {}), Config{Budget: idleBudget, Tel: &obs.Spill{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	wrapped := measure(sp)
+	if runs, _ := sp.st.stats(); runs != 0 {
+		t.Fatalf("setup: budget bound, %d runs", runs)
+	}
+	if wrapped != bare || bare == 0 {
+		t.Errorf("allocs per round: wrapped %.0f, bare %.0f; want equal and non-zero", wrapped, bare)
+	}
+}
+
+// benchLive times m at steady state with ~10K live 1000-byte events. Every
+// stable sweeps all of them (they are half frozen), so stables are spaced a
+// batch apart, as publishers send them, to keep the sweep from drowning the
+// per-element costs being compared.
+func benchLive(b *testing.B, m core.Merger) {
+	const live = 10_000
+	round := liveRound(b, m, live, 256)
+	for i := 0; i < live/64+1; i++ {
+		round()
+	}
+	elements := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		elements += round()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(elements), "ns/element")
+}
+
+// BenchmarkBareLiveState is the unwrapped twin of BenchmarkSpillIdleBudget.
+func BenchmarkBareLiveState(b *testing.B) {
+	benchLive(b, core.NewR3(func(temporal.Element) {}))
+}
+
+// BenchmarkSpillIdleBudget is the same merge under a budget that never
+// binds: the difference from BenchmarkBareLiveState is the whole cost of
+// bounded-memory mode while it has nothing to do.
+func BenchmarkSpillIdleBudget(b *testing.B) {
+	sp, err := Wrap(core.NewR3(func(temporal.Element) {}), Config{Budget: idleBudget, Tel: &obs.Spill{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sp.Close()
+	benchLive(b, sp)
 }

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lmerge/internal/core"
 	"lmerge/internal/durable"
@@ -96,31 +97,33 @@ func (b *memBlobs) close() {
 	b.mu.Unlock()
 }
 
-// fnv-1a over (Vs, Payload.ID, Payload.Data): the resident fingerprint of
-// one spilled key. A fingerprint hit is only a hint — the run is decoded to
-// confirm the key before any skip/unspill decision, so collisions cost a
-// read, never correctness.
+// fingerprint hashes (Vs, Payload.ID, Payload.Data) fnv-1a style, a 64-bit
+// word per step: the resident fingerprint of one spilled key. A hit is only
+// a hint — the run is decoded to confirm the key before any skip/unspill
+// decision, so collisions cost a read, never correctness. Fingerprints never
+// leave memory, so the function may change between builds.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * fnvPrime64
+	return h ^ h>>32 // multiplying only carries upward; fold the top back down
+}
+
 func fingerprint(vs temporal.Time, p temporal.Payload) uint64 {
-	h := uint64(fnvOffset64)
-	mix8 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime64
-			v >>= 8
-		}
+	d := p.Data
+	h := mix(mix(mix(fnvOffset64, uint64(vs)), uint64(p.ID)), uint64(len(d)))
+	for ; len(d) >= 8; d = d[8:] {
+		h = mix(h, uint64(d[0])|uint64(d[1])<<8|uint64(d[2])<<16|uint64(d[3])<<24|
+			uint64(d[4])<<32|uint64(d[5])<<40|uint64(d[6])<<48|uint64(d[7])<<56)
 	}
-	mix8(uint64(vs))
-	mix8(uint64(p.ID))
-	for i := 0; i < len(p.Data); i++ {
-		h ^= uint64(p.Data[i])
-		h *= fnvPrime64
+	var tail uint64
+	for i := 0; i < len(d); i++ {
+		tail |= uint64(d[i]) << (8 * i)
 	}
-	return h
+	return mix(h, tail)
 }
 
 // runOverheadBytes approximates one run descriptor's resident cost beyond
@@ -169,11 +172,20 @@ type store struct {
 	runs   []*run
 	seq    uint64
 	frames int // total frames across runs
-	maxVs  temporal.Time
+
+	// fence is the largest maxVs over the published runs (MinTime when there
+	// are none) and overhead the sum of their overhead(): mirrors of the
+	// manifest the merge path reads per element without taking mu. Only the
+	// merge path raises fence (add); the background merger can only lower it
+	// by dropping dead frames, so a stale read errs toward the slow path.
+	fence    atomic.Int64
+	overhead atomic.Int64
 }
 
 func newStore(blobs blobStore, tel *obs.Spill) *store {
-	return &store{blobs: blobs, tel: tel, maxVs: temporal.MinTime}
+	st := &store{blobs: blobs, tel: tel}
+	st.fence.Store(int64(temporal.MinTime))
+	return st
 }
 
 // nextName reserves a fresh run file name.
@@ -184,16 +196,18 @@ func (st *store) nextName() string {
 	return fmt.Sprintf("run-%08d.lmrun", st.seq)
 }
 
-// refresh recomputes the fence and frame gauge; callers hold mu.
+// refreshLocked recomputes the fence, overhead and frame totals after a
+// manifest change; callers hold mu.
 func (st *store) refreshLocked(dFrames, dRuns int64) {
-	st.maxVs = temporal.MinTime
+	fence, overhead := temporal.MinTime, 0
 	st.frames = 0
 	for _, r := range st.runs {
-		if r.maxVs > st.maxVs {
-			st.maxVs = r.maxVs
-		}
+		fence = temporal.MaxT(fence, r.maxVs)
+		overhead += r.overhead()
 		st.frames += r.frames
 	}
+	st.fence.Store(int64(fence))
+	st.overhead.Store(int64(overhead))
 	st.tel.AddResident(0, dFrames, dRuns)
 }
 
@@ -274,9 +288,6 @@ func (st *store) dropMember(s core.StreamID) {
 func (st *store) candidates(vs temporal.Time, h uint64) []*run {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if vs > st.maxVs {
-		return nil
-	}
 	var out []*run
 	for _, r := range st.runs {
 		if r.mayContain(vs, h) {
@@ -353,15 +364,7 @@ func (st *store) replace(ins []*run, merged *run) bool {
 // overheadBytes is the resident cost of the manifest (fingerprints and
 // descriptors) — the part of the spill layer that still counts against the
 // budget.
-func (st *store) overheadBytes() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	total := 0
-	for _, r := range st.runs {
-		total += r.overhead()
-	}
-	return total
-}
+func (st *store) overheadBytes() int { return int(st.overhead.Load()) }
 
 // stats returns the published run and frame counts.
 func (st *store) stats() (runs, frames int) {
