@@ -2,16 +2,17 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race cover bench bench-e2e chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak fuzz experiments scale bench-compare diffcheck diffcheck-race clean
+.PHONY: all check build vet test race stress cover bench bench-e2e chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak fuzz experiments scale bench-compare diffcheck diffcheck-race clean
 
 all: build vet test
 
 # Everything CI cares about: compile, vet, full tests, race on the
-# concurrent packages, the seeded chaos soaks (single-instance and
-# partitioned), the adaptive-repartitioning soak, the crash/recover soak,
-# the budget-constrained out-of-core spill soak, the broadcast fan-out
-# soak, and a race-enabled differential sweep over the trimmed config grid.
-check: build vet test race cover chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak diffcheck-race
+# concurrent packages, the repeated-run stress of the tests that have flaked,
+# the seeded chaos soaks (single-instance and partitioned), the
+# adaptive-repartitioning soak, the crash/recover soak, the
+# budget-constrained out-of-core spill soak, the broadcast fan-out soak, and
+# a race-enabled differential sweep over the trimmed config grid.
+check: build vet test race stress cover chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak diffcheck-race
 
 build:
 	$(GO) build ./...
@@ -22,8 +23,18 @@ vet:
 test:
 	$(GO) test ./...
 
+# The pool and the server are the packages whose goroutines share state, so
+# they run at several GOMAXPROCS: 1 serialises every interleaving the others
+# allow.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -short -cpu 1,2,4 ./internal/partition/ ./internal/server/
+
+# The tests that were red some runs in ten on a 2-CPU box before PR 13, many
+# times over. Any failure is a bug in the code or the test: no retries.
+stress:
+	$(GO) test -count=50 -cpu 1,2,4 -run 'TestShardedMigrateMidStream|TestRebalanceSoak|TestSyncMigrateSlot|TestMigrateUnreadableSpillRun|TestCutDuringMigrations' ./internal/partition/
+	$(GO) test -count=30 -run 'TestFanLoopEvictionDeadline|TestSubscriberResume|TestServerRebalancingBackend' ./internal/server/
 
 # Coverage with enforced floors on the merge kernel, the telemetry layer,
 # the wire codec (cursor log included), and the server (event-loop delivery
@@ -78,9 +89,9 @@ chaos:
 partition-soak:
 	$(GO) test -race -v -run TestPartitionedChaosSoak ./internal/partition/
 
-# Race-enabled soak of the live key-range migration machinery: concurrent
-# publishers vs forced slot migrations, plus the adaptive hot-slot
-# controller at an aggressive cadence (see DESIGN.md §11).
+# Race-enabled soak of slot migration: concurrent publishers vs forced slot
+# migrations, plus the adaptive hot-slot controller at an aggressive cadence
+# (see DESIGN.md §11).
 rebalance-soak:
 	$(GO) test -race -v -run 'TestShardedMigrateMidStream|TestRebalanceSoak' ./internal/partition/
 
@@ -118,12 +129,15 @@ fuzz:
 	$(GO) test ./internal/durable/ -run FuzzRunDecode -fuzz FuzzRunDecode -fuzztime 30s
 
 # Differential correctness sweep: every algorithm × executor × pipeline
-# against the brute-force oracle (see DESIGN.md §7). Any divergence is a bug;
-# failures print a minimized ready-to-paste regression test.
+# against the brute-force oracle (see DESIGN.md §7), the concurrent
+# partition.Sharded pool under a migration sweep (sharded-3) among the
+# executors. Any divergence is a bug; failures print a minimized
+# ready-to-paste regression test.
 diffcheck:
 	$(GO) run ./cmd/lmcheck -seeds 500
 
-# Short race-enabled sweep over the trimmed grid, part of `make check`.
+# Short race-enabled sweep over the trimmed grid (every executor, sharded-3
+# included), part of `make check`.
 diffcheck-race:
 	$(GO) run -race ./cmd/lmcheck -seeds 25 -quick
 

@@ -62,7 +62,7 @@ func serve(args []string) {
 	addr := fs.String("addr", "127.0.0.1:7171", "listen address")
 	caseName := fs.String("case", "R3", "merge algorithm: R0, R1, R2, R3, R4")
 	parts := fs.Int("partitions", 1, "keyed scale-out: merge partitions sharding ingestion by payload hash (1 = single merger)")
-	rebalance := fs.Bool("rebalance", false, "adaptive hot-key repartitioning: live-migrate routing slots between partition workers under skew (needs -partitions > 1)")
+	rebalance := fs.Bool("rebalance", false, "adaptive hot-key repartitioning: move routing slots between partition workers under skew, pausing the pool for each move (needs -partitions > 1)")
 	httpAddr := fs.String("http", "", "serve /metrics and /debug/trace on this address (e.g. 127.0.0.1:7172; empty disables)")
 	statsEvery := fs.Duration("stats-every", 0, "log a telemetry line for each merge node at this period (0 disables)")
 	dataDir := fs.String("data-dir", "", "durable merge state: WAL + checkpoints under this directory; restart jumpstarts from the latest checkpoint and replays the WAL tail (empty disables)")

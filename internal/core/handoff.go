@@ -29,7 +29,7 @@ type Handoff interface {
 	// HandoffCapable reports whether the merger's policy point supports
 	// state handoff. The InsertFullyFrozen policy does not: its output
 	// stable point is held back to a data-dependent key, so donor and
-	// recipient clocks cannot be ordered by the drain barrier alone.
+	// recipient clocks can differ even after both merged the same stables.
 	HandoffCapable() bool
 	// ExtractKeys removes and returns every live node whose payload matches,
 	// together with the donor's output stable point at extraction. On error

@@ -152,16 +152,19 @@ const (
 	// in its synchronous core.Merger form, subject to the same oracle and
 	// snapshot checks as ExecDirect.
 	ExecPartitioned
-	// ExecPartitionedRT drives the partitioned engine topology (per-stream
-	// splitters → per-partition lmerge nodes → reunify) through the
-	// concurrent runtime, one worker goroutine per node.
-	ExecPartitionedRT
 	// ExecPartitionedRebal is ExecPartitioned with deterministic key-range
 	// migrations forced between deliveries: every few elements a routing slot
-	// is transplanted to another partition through the live handoff protocol
-	// (core.Handoff), so the oracle, snapshot, and frozen-surface checks all
-	// run against a merger whose key→partition assignment churns mid-stream.
+	// is transplanted to another partition (core.Handoff), so the oracle,
+	// snapshot, and frozen-surface checks all run against a merger whose
+	// key→partition assignment churns mid-stream.
 	ExecPartitionedRebal
+	// ExecSharded drives the concurrent form, the partition.Sharded pool
+	// lmserved runs: one goroutine per presentation calling ProcessBatch in
+	// small batches against diffPartitions workers and, for handoff-capable
+	// algorithms, one more goroutine sweeping MigrateSlot over (seed, step)-
+	// derived slots for as long as the publishers run. The interleaving is
+	// the scheduler's, so a divergence here may not replay.
+	ExecSharded
 	// ExecCrashRecover crashes the merger mid-sweep and rebuilds it through
 	// the durability tier's own machinery: emissions are framed as WAL RecEmit
 	// records (with a seed-derived torn tail that checksum truncation must
@@ -187,7 +190,13 @@ const (
 
 // partitioned reports whether the exec mode runs the keyed scale-out path.
 func (x Exec) partitioned() bool {
-	return x == ExecPartitioned || x == ExecPartitionedRT || x == ExecPartitionedRebal
+	return x == ExecPartitioned || x == ExecPartitionedRebal || x == ExecSharded
+}
+
+// concurrent reports whether the exec mode's interleaving is left to the
+// scheduler, so that a divergence may not reproduce on every run.
+func (x Exec) concurrent() bool {
+	return x == ExecRuntime || x == ExecRuntimeUnbatched || x == ExecSharded
 }
 
 // String names the execution mode.
@@ -203,10 +212,10 @@ func (x Exec) String() string {
 		return "runtime/unbatched"
 	case ExecPartitioned:
 		return fmt.Sprintf("partitioned-%d", diffPartitions)
-	case ExecPartitionedRT:
-		return fmt.Sprintf("partitioned-%d/rt", diffPartitions)
 	case ExecPartitionedRebal:
 		return fmt.Sprintf("partitioned-%d/rebal", diffPartitions)
+	case ExecSharded:
+		return fmt.Sprintf("sharded-%d", diffPartitions)
 	case ExecCrashRecover:
 		return "crash-recover"
 	case ExecSpill:

@@ -308,7 +308,7 @@ func grid(class Class, quick bool) []Config {
 	pipeAlgos := intersectAlgos(algos, []Algo{AlgoR1, AlgoR2, AlgoR3, AlgoR3Naive, AlgoR4})
 	for _, p := range []Pipeline{PipeUnion, PipeCount, PipeCountAggressive, PipeTopK} {
 		for _, a := range pipeAlgos {
-			for _, x := range []Exec{ExecSync, ExecRuntime, ExecPartitionedRT} {
+			for _, x := range []Exec{ExecSync, ExecRuntime} {
 				cfgs = append(cfgs, Config{Algo: a, Exec: x, Pipeline: p, Order: "roundrobin"})
 			}
 		}
@@ -346,6 +346,8 @@ func runConfig(cfg Config, w *workload, opt Options) result {
 		return runCrashRecover(cfg, w, opt)
 	case ExecSpill:
 		return runSpill(cfg, w, opt)
+	case ExecSharded:
+		return runSharded(cfg, w)
 	default:
 		return runEngine(cfg, w, opt)
 	}
@@ -355,8 +357,7 @@ func runConfig(cfg Config, w *workload, opt Options) result {
 // partition wrapper — with Process calls in a deterministic interleaving,
 // checkpointing via Snapshot at every output stable advance.
 // ExecPartitionedRebal additionally forces a slot migration every few
-// deliveries, so the same oracle/snapshot checks cover the live key-range
-// handoff protocol.
+// deliveries, so the same oracle/snapshot checks cover the key-range handoff.
 func runDirect(cfg Config, w *workload, opt Options) result {
 	var out temporal.Stream
 	emit := func(e temporal.Element) { out = append(out, e) }
@@ -470,24 +471,6 @@ func buildGraph(cfg Config, n int) (g *engine.Graph, lm *operators.LMerge, lmNod
 	return g, lm, lmNode, unions, sink
 }
 
-// buildPartGraph assembles the partitioned variant of buildGraph: sources →
-// [union] → per-stream splitter → per-partition lmerge → reunify →
-// [aggregate] → sink. Injection targets are the splitter nodes (port 0).
-func buildPartGraph(cfg Config, n int) (g *engine.Graph, topo *partition.Topology, unions []*engine.Node, sink *sinkOp) {
-	g = engine.NewGraph()
-	topo = partition.Build(g, n, diffPartitions, -1,
-		func(emit core.Emit) core.Merger { return cfg.Algo.NewMerger(emit) })
-	if cfg.Pipeline == PipeUnion {
-		for i := 0; i < n; i++ {
-			u := g.Add(operators.NewUnion(2))
-			g.Connect(u, topo.Inputs[i])
-			unions = append(unions, u)
-		}
-	}
-	sink = attachTail(g, cfg, topo.Output)
-	return g, topo, unions, sink
-}
-
 // attachTail appends cfg's aggregate stage (if any) and the collecting sink
 // behind tail, returning the sink.
 func attachTail(g *engine.Graph, cfg Config, tail *engine.Node) *sinkOp {
@@ -511,34 +494,10 @@ func attachTail(g *engine.Graph, cfg Config, tail *engine.Node) *sinkOp {
 }
 
 // runEngine drives the graph through the synchronous executor or the
-// concurrent runtime (batched, element-at-a-time, or partitioned).
+// concurrent runtime (batched or element-at-a-time).
 func runEngine(cfg Config, w *workload, opt Options) result {
 	n := len(w.streams)
-	var (
-		g      *engine.Graph
-		unions []*engine.Node
-		sink   *sinkOp
-		inj    func(s int) (*engine.Node, int) // injection target when unions == nil
-		warnfn func() int64
-	)
-	if cfg.Exec == ExecPartitionedRT {
-		var topo *partition.Topology
-		g, topo, unions, sink = buildPartGraph(cfg, n)
-		inj = func(s int) (*engine.Node, int) { return topo.Inputs[s], 0 }
-		warnfn = func() int64 {
-			var total int64
-			for _, lm := range topo.Mergers {
-				total += lm.Operator().Merger().Stats().ConsistencyWarnings
-			}
-			return total
-		}
-	} else {
-		var lm *operators.LMerge
-		var lmNode *engine.Node
-		g, lm, lmNode, unions, sink = buildGraph(cfg, n)
-		inj = func(s int) (*engine.Node, int) { return lmNode, s }
-		warnfn = func() int64 { return lm.Operator().Merger().Stats().ConsistencyWarnings }
-	}
+	g, lm, lmNode, unions, sink := buildGraph(cfg, n)
 	var res result
 	if cfg.Exec == ExecSync {
 		pos := make([]int, n)
@@ -555,8 +514,7 @@ func runEngine(cfg Config, w *workload, opt Options) result {
 					split[s]++
 				}
 			} else {
-				node, p := inj(s)
-				node.InjectPort(p, e)
+				lmNode.InjectPort(s, e)
 			}
 		}
 	} else {
@@ -583,8 +541,7 @@ func runEngine(cfg Config, w *workload, opt Options) result {
 						}
 					}
 				} else {
-					node, p := inj(i)
-					r.InjectBatchPort(node, p, w.streams[i])
+					r.InjectBatchPort(lmNode, i, w.streams[i])
 				}
 			}(i)
 		}
@@ -595,7 +552,7 @@ func runEngine(cfg Config, w *workload, opt Options) result {
 		}
 	}
 	res.out = sink.els
-	res.warnings = warnfn()
+	res.warnings = lm.Operator().Merger().Stats().ConsistencyWarnings
 	return res
 }
 

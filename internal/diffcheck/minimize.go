@@ -102,9 +102,9 @@ type Minimized struct {
 func Minimize(div Divergence, opt Options) *Minimized {
 	opt = opt.withDefaults()
 	attempts := 1
-	if div.Config.Exec == ExecRuntime || div.Config.Exec == ExecRuntimeUnbatched {
-		// The concurrent runtime's interleaving is scheduling-dependent; give
-		// flaky divergences a few chances before declaring a candidate healthy.
+	if div.Config.Exec.concurrent() {
+		// The interleaving is scheduling-dependent; give flaky divergences a
+		// few chances before declaring a candidate healthy.
 		attempts = 3
 	}
 	sc := gen.NewScript(scriptConfig(div.Class, div.Seed, opt.Events))

@@ -52,10 +52,10 @@ func (x Exec) goName() string {
 		return "ExecRuntimeUnbatched"
 	case ExecPartitioned:
 		return "ExecPartitioned"
-	case ExecPartitionedRT:
-		return "ExecPartitionedRT"
 	case ExecPartitionedRebal:
 		return "ExecPartitionedRebal"
+	case ExecSharded:
+		return "ExecSharded"
 	case ExecCrashRecover:
 		return "ExecCrashRecover"
 	case ExecSpill:

@@ -1,88 +1,49 @@
 package partition
 
 import (
-	"runtime"
-
+	"lmerge/internal/core"
 	"lmerge/internal/temporal"
 )
 
-// Checkpoint support for the sharded backend. The server takes its exact
-// checkpoint cut by excluding ingestion (its own write barrier blocks
-// Attach/Detach/ProcessBatch) and then calling Quiesce + PartitionSnapshots +
-// RouteState here; recovery rebuilds a pool and calls InstallRoute before
+// Checkpoint support for the sharded backend: the server takes its checkpoint
+// from Cut, and recovery rebuilds a pool and calls InstallRoute before
 // replaying, so every key routes back to the partition whose snapshot carries
 // its state.
 
-// Quiesce blocks until every in-flight element has been merged and its
-// emission flushed. The caller must guarantee no new traffic arrives (no
-// concurrent Attach/Detach/ProcessBatch) and no migration is in flight —
-// lmserved's checkpoint barrier provides both.
-//
-// Two steps: (1) poll every publisher ring empty — every enqueued entry has
-// been consumed; (2) one control-lane round trip per worker — a worker
-// handles control only at its loop boundary, after any in-progress drain pass
-// completed, and a drain pass ends by flushing its staged emissions, so the
-// round trip returning means everything consumed in (1) has reached the
-// pool's emit callback.
-func (s *Sharded) Quiesce() {
-	if s.closed.Load() {
-		return
-	}
-	for {
-		pending := 0
-		s.pubMu.RLock()
-		for _, pub := range s.pubs {
-			for _, r := range pub.rings {
-				pending += r.pending()
-			}
-		}
-		s.pubMu.RUnlock()
-		if pending == 0 {
-			break
-		}
-		for _, w := range s.workers {
-			w.wakeUp()
-		}
-		runtime.Gosched()
-	}
-	// Reuse the stats lane as the flush barrier; the reply value is discarded.
-	s.coldMu.Lock()
-	for _, w := range s.workers {
-		w.ctl <- ctlMsg{kind: ctlStats, statsReply: s.statsReply}
-		w.wakeUp()
-		<-s.statsReply
-	}
-	s.coldMu.Unlock()
+// Cut is one consistent cut of a pool, taken with the world stopped.
+type Cut struct {
+	// Snapshots holds each worker's merger Snapshot() stream, in partition
+	// order; entries are nil when the algorithm is not a core.Snapshotter. The
+	// stable broadcast puts every partition at the same internal stable point.
+	Snapshots []temporal.Stream
+	// RouteEpoch and RouteOwner are the routing table the snapshots were taken
+	// under: every key in Snapshots[p] hashes to a slot RouteOwner maps to p.
+	RouteEpoch int64
+	RouteOwner []int32
 }
 
-// PartitionSnapshots collects each worker's merger Snapshot() stream, in
-// partition order. Entries are nil when the algorithm is not a
-// core.Snapshotter. Call only on a quiesced pool (see Quiesce) — the streams
-// are only mutually consistent at a cut, and the stable broadcast guarantees
-// all partitions sit at the same internal stable point once quiesced.
-func (s *Sharded) PartitionSnapshots() []temporal.Stream {
-	out := make([]temporal.Stream, len(s.workers))
+// Cut pauses the pool exactly as a migration does (see pause) — every element
+// handed to ProcessBatch before the call has been merged and its emission has
+// reached the pool's emit callback, and no migration is under way — and
+// captures the per-partition snapshots and the routing table in that state.
+// A closed pool yields a Cut with nil snapshots.
+func (s *Sharded) Cut() Cut {
+	c := Cut{Snapshots: make([]temporal.Stream, len(s.workers))}
 	if s.closed.Load() {
-		return out
+		return c
 	}
-	reply := make(chan temporal.Stream, 1)
-	s.coldMu.Lock()
+	s.pause()
+	defer s.resume()
 	for p, w := range s.workers {
-		w.ctl <- ctlMsg{kind: ctlSnapshot, snapReply: reply}
-		w.wakeUp()
-		out[p] = <-reply
+		w.do(func() {
+			if sn, ok := w.op.Merger().(core.Snapshotter); ok {
+				c.Snapshots[p] = sn.Snapshot()
+			}
+		})
 	}
-	s.coldMu.Unlock()
-	return out
-}
-
-// RouteState returns the current routing table version: its epoch and a copy
-// of the slot-ownership map.
-func (s *Sharded) RouteState() (epoch int64, owner []int32) {
 	t := s.table.Load()
-	owner = make([]int32, Slots)
-	copy(owner, t.owner[:])
-	return t.epoch, owner
+	c.RouteEpoch, c.RouteOwner = t.epoch, append([]int32(nil), t.owner[:]...)
+	return c
 }
 
 // InstallRoute replaces the routing table with the given ownership map at the

@@ -16,8 +16,8 @@
 //     one (Vs, Payload) key — including revisions and duplicates from other
 //     input streams — land on the same partition, so each partition merges
 //     mutually consistent presentations of its key-filtered slice of the TDB.
-//     Slot ownership can move between partitions live (see Rebalancer and
-//     DESIGN.md §11); at any instant each key still has exactly one owner.
+//     Slot ownership can move between partitions mid-stream (see Rebalancer
+//     and DESIGN.md §11); at any instant each key still has exactly one owner.
 //   - Stable broadcast: stable elements are progress assertions about the
 //     whole stream, so they go to every partition. A partition that receives
 //     no events still advances its stable point and never holds the global
@@ -57,14 +57,16 @@ import (
 type KeyFunc func(temporal.Payload) uint64
 
 // Rebalancer is implemented by partitioned mergers that can move key-range
-// (routing-slot) ownership between partitions live, transplanting per-key
-// merge state through core.Handoff — the paper's jumpstart/cutover machinery
-// applied internally. The differential harness uses it to force migrations
-// mid-stream; the sharded pool's adaptive controller uses the same slot
-// granularity asynchronously.
+// (routing-slot) ownership between partitions mid-stream, transplanting
+// per-key merge state through core.Handoff — the paper's jumpstart/cutover
+// machinery applied internally. Both implementations (the synchronous merger
+// and the Sharded pool) honour one contract, and the differential harness
+// forces migrations on both.
 type Rebalancer interface {
 	// MigrateSlot moves routing slot `slot` to partition `to`, reporting
-	// whether a migration happened.
+	// whether the slot moved. When it did not — the slot already lives on
+	// `to`, the algorithm cannot hand off, or the donor could not extract the
+	// slot's keys — ownership and state are exactly as before the call.
 	MigrateSlot(slot, to int) bool
 	// SlotOwner returns the partition currently owning a routing slot.
 	SlotOwner(slot int) int
@@ -90,7 +92,7 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Option configures a partitioned merger or topology.
+// Option configures a partitioned merger.
 type Option func(*options)
 
 type options struct {
@@ -116,9 +118,8 @@ func WithKeyFunc(fn KeyFunc) Option {
 
 // merger is the synchronous partitioned merger: N sub-mergers behind the
 // standard core.Merger interface. It is the deterministic form of the
-// subsystem — used directly by the public API wrapper and the differential
-// harness — while splitter.go provides the same composition as engine
-// operators for concurrent execution.
+// subsystem — the public API wrapper and the differential harness's reference
+// for Sharded, the concurrent form.
 type merger struct {
 	subs  []core.Merger
 	emit  core.Emit

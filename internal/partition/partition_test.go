@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"lmerge/internal/core"
-	"lmerge/internal/engine"
 	"lmerge/internal/gen"
-	"lmerge/internal/operators"
 	"lmerge/internal/temporal"
 )
 
@@ -236,97 +234,5 @@ func TestPartitionedDetachReleasesState(t *testing.T) {
 	// in every partition.
 	if after := pm.SizeBytes(); after >= before {
 		t.Fatalf("SizeBytes after detach = %d, want < %d", after, before)
-	}
-}
-
-// buildGraphs drives the same workload through the partitioned engine
-// topology under the given runtime mode and returns the sink.
-func runTopology(t *testing.T, streams []temporal.Stream, parts int, concurrent bool) (*operators.Sink, *Topology) {
-	t.Helper()
-	g := engine.NewGraph()
-	topo := Build(g, len(streams), parts, -1, func(emit core.Emit) core.Merger {
-		return core.NewR3(emit)
-	})
-	sink := operators.NewSink()
-	sn := g.Add(sink)
-	g.Connect(topo.Output, sn)
-
-	if !concurrent {
-		pos := make([]int, len(streams))
-		for _, s := range interleave(streams, 31) {
-			topo.Inputs[s].Inject(streams[s][pos[s]])
-			pos[s]++
-		}
-		return sink, topo
-	}
-	rt := engine.NewRuntime(g)
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	for s := range streams {
-		go func(s int) {
-			defer func() { done <- struct{}{} }()
-			if err := rt.InjectBatch(topo.Inputs[s], streams[s]); err != nil {
-				t.Error(err)
-			}
-		}(s)
-	}
-	for range streams {
-		<-done
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return sink, topo
-}
-
-func TestTopologySyncMatchesScript(t *testing.T) {
-	streams, want := testWorkload(t, 0)
-	for _, parts := range []int{1, 2, 4} {
-		sink, topo := runTopology(t, streams, parts, false)
-		if !sink.TDB.Equal(want) {
-			t.Fatalf("parts=%d: sync topology TDB differs from script", parts)
-		}
-		ru := topo.Output.Operator().(*Reunify)
-		if ru.MaxStable() != temporal.Infinity {
-			t.Fatalf("parts=%d: reunified stable = %v, want ∞", parts, ru.MaxStable())
-		}
-	}
-}
-
-func TestTopologyConcurrentMatchesScript(t *testing.T) {
-	streams, want := testWorkload(t, 0)
-	for _, parts := range []int{1, 3} {
-		sink, _ := runTopology(t, streams, parts, true)
-		if !sink.TDB.Equal(want) {
-			t.Fatalf("parts=%d: concurrent topology TDB differs from script", parts)
-		}
-		if sink.Stables() == 0 {
-			t.Fatalf("parts=%d: no stables reached the sink", parts)
-		}
-	}
-}
-
-func TestTopologyFeedbackReachesInputs(t *testing.T) {
-	streams, _ := testWorkload(t, 0)
-	g := engine.NewGraph()
-	topo := Build(g, len(streams), 2, -1, func(emit core.Emit) core.Merger {
-		return core.NewR3(emit)
-	})
-	sn := g.Add(operators.NewSink())
-	g.Connect(topo.Output, sn)
-	pos := make([]int, len(streams))
-	for _, s := range interleave(streams, 3) {
-		topo.Inputs[s].Inject(streams[s][pos[s]])
-		pos[s]++
-	}
-	// A consumer fast-forward at the reunify node must walk through every
-	// partition merger to every splitter input.
-	topo.Output.SendFeedback(1000)
-	for s, in := range topo.Inputs {
-		if in.FFPoint() != 1000 {
-			t.Fatalf("input %d FFPoint = %v, want 1000", s, in.FFPoint())
-		}
 	}
 }

@@ -1,159 +1,118 @@
 package partition
 
 import (
-	"fmt"
-	"sync/atomic"
+	"runtime"
+	"slices"
 	"time"
 
 	"lmerge/internal/core"
 )
 
-// This file is the live slot-migration machinery of the sharded pool: the
-// paper's jumpstart/cutover protocol (Sec. II-4/5) applied *internally*,
-// between partition workers of one keyed scale-out merge, plus the adaptive
-// controller that drives it under skew. DESIGN.md §11 carries the full state
-// machine and its safety argument; in brief, a migration of slots {S} from
-// donor A to recipient(s) B — the protocol batches every slot leaving A in
-// one cycle, since the drain barrier dominates its cost — runs:
+// This file moves routing slots between the workers of a running pool, and
+// holds the adaptive controller that decides when to. The protocol is
+// stop-the-world quiesce–move–resume (DESIGN.md §11):
 //
-//  1. prepare — each recipient B is frozen: it keeps consuming its rings
-//     (into a holding queue, so producers never block against it) but merges
-//     nothing, which pins B's output clock Tb.
-//  2. cutover — under the route write-lock, every departing slot's owner
-//     flips to its recipient and the tails of A's ingress rings are
-//     snapshotted. Because publishers route+enqueue under the read lock,
-//     every element routed to A under the old table is inside the snapshot:
-//     the tails are a sound drain barrier.
-//  3. drain — A processes its rings until every snapshotted tail is reached.
-//     Any stable a recipient saw before freezing was enqueued to A (same
-//     coalesced batch, same read-lock section) before the snapshot, so at
-//     the barrier A's clock Ta >= Tb for every recipient — the core.Handoff
-//     clock-ordering contract holds by construction, with no abort path.
-//  4. transplant — A extracts each recipient's slots' live index nodes whole
-//     (core.Handoff.ExtractKeys, one slotsMatcher per recipient) and
-//     forwards each bundle to its recipient's control lane.
-//  5. install — each B installs its nodes, unfreezes, and replays its
-//     holding queue through normal processing. Unemitted transplanted nodes
-//     carry Vs >= Ta >= Tb, so B's deferred emissions stay legal against its
-//     own output stream; stables B re-sweeps over them are idempotent.
+//  1. quiesce — pause takes the route write-lock, which every section that
+//     puts work in flight holds for reading, then waits until every worker's
+//     rings are empty and one control round trip per worker has returned.
+//  2. move — per (donor, recipient) pair, the donor's goroutine extracts the
+//     departing slots' index nodes whole (core.Handoff.ExtractKeys) and the
+//     recipient's goroutine installs them. A donor that cannot extract keeps
+//     its slots.
+//  3. resume — the successor route table, carrying the moves that succeeded,
+//     is published once, and the locks are released.
 //
-// A migration batches every move leaving one donor in a window: the drain
-// barrier is the expensive step (the donor must chew through its enqueued
-// backlog), so all slots departing a donor — to however many recipients —
-// share one prepare/cutover/drain cycle and split into per-recipient
-// transplants only at the barrier.
-type migration struct {
-	from  int
-	moves []slotMove
-	// marks is the drain barrier: the donor's ring tails at cutover.
-	marks []ringMark
-	done  chan struct{}
-}
+// Invariant: while the write lock is held nothing is in flight. Stables,
+// attaches and detaches reach every worker inside one read-lock section, so
+// the quiesced workers have all merged the same ones and donor clock ==
+// recipient clock — the core.Handoff clock-ordering contract holds trivially.
+// Routing flips only after the install, so a failed extraction costs nothing.
 
-// slotMove is one (routing slot → recipient worker) assignment of a
-// migration.
+// slotMove is one (routing slot → recipient worker) assignment.
 type slotMove struct {
 	slot int
 	to   int
 }
 
-// ringMark is one (ring, tail) pair of the drain barrier.
-type ringMark struct {
-	r    *spscRing
-	tail uint64
-}
-
-// barrierMet reports whether the donor has drained past every snapshotted
-// tail. Ring heads only advance, and removed rings (publisher detach) were
-// fully consumed first, so the check is monotone.
-func (w *shardWorker) barrierMet() bool {
-	for _, mk := range w.mig.marks {
-		if mk.r.head.Load() < mk.tail {
-			return false
-		}
-	}
-	return true
-}
-
-// completeMigration runs on the donor's goroutine once the drain barrier is
-// met: extract each recipient's slots whole and hand them over.
-func (s *Sharded) completeMigration(w *shardWorker) {
-	mig := w.mig
-	w.mig = nil
-	h, capable := w.op.Merger().(core.Handoff)
-	// Group the moves per recipient: one transplant each.
-	done := make(map[int]bool, len(mig.moves))
-	for _, mv := range mig.moves {
-		if done[mv.to] {
-			continue
-		}
-		done[mv.to] = true
-		slots := make([]int, 0, len(mig.moves))
-		for _, m2 := range mig.moves {
-			if m2.to == mv.to {
-				slots = append(slots, m2.slot)
-			}
-		}
-		var st core.HandoffState
-		if capable {
-			var err error
-			if st, err = h.ExtractKeys(slotsMatcher(s.key, slots)); err != nil {
-				// Routing flipped at cutover and there is no abort path, so the
-				// slots' keys are now stranded at the donor: fail the pool (the
-				// sticky error reaches every publisher's next ProcessBatch)
-				// rather than merge on without them. The recipient still gets
-				// its (empty) install so it unfreezes.
-				s.recordErr(fmt.Errorf("partition: migrating slots %v from worker %d: %w", slots, mig.from, err))
-			}
-		}
-		w.tel.Migrated(mig.from, mv.to, st.Clock, st.Keys)
-		s.tel.Migrated(mig.from, mv.to, st.Clock, st.Keys)
-		rcpt := s.workers[mv.to]
-		rcpt.ctl <- ctlMsg{kind: ctlInstall, st: st}
-		rcpt.wakeUp()
-	}
-	close(mig.done)
-}
-
-// migrateLocked executes one batched migration end to end (caller holds
-// migMu and has resolved mv.to != from for every move). It blocks until the
-// donor has handed every transplant to its recipient's control lane.
-func (s *Sharded) migrateLocked(from int, moves []slotMove) {
-	// 1. prepare: freeze every distinct recipient, pinning its clock. The
-	// reply synchronises — a recipient is guaranteed frozen before cutover.
-	prepped := make(map[int]bool, len(moves))
-	for _, mv := range moves {
-		if prepped[mv.to] {
-			continue
-		}
-		prepped[mv.to] = true
-		rcpt := s.workers[mv.to]
-		rcpt.ctl <- ctlMsg{kind: ctlPrepare, prepReply: s.prepReply}
-		rcpt.wakeUp()
-		<-s.prepReply
-	}
-
-	// 2. cutover: flip every slot under the route write-lock and snapshot
-	// the donor's ring tails as the drain barrier.
-	donor := s.workers[from]
+// pause stops the world: no other pause, no publisher section, nothing queued
+// and nothing staged. Every pause is followed by resume.
+func (s *Sharded) pause() {
+	s.migMu.Lock()
 	s.routeMu.Lock()
-	next := s.table.Load().clone()
-	for _, mv := range moves {
-		next.owner[mv.slot] = int32(mv.to)
+	// The workers' own ring lists, not s.pubs: a publisher inside Detach has
+	// left the table but its rings still hold its last entries.
+	for _, w := range s.workers {
+		for w.backlog() > 0 {
+			w.wakeUp()
+			runtime.Gosched()
+		}
 	}
-	s.table.Store(next)
-	rings := donor.ringList()
-	marks := make([]ringMark, len(rings))
-	for i, r := range rings {
-		marks[i] = ringMark{r: r, tail: r.tail.Load()}
+	// A worker runs control at its loop boundary, after the drain pass that
+	// emptied its rings flushed what it staged.
+	for _, w := range s.workers {
+		w.do(func() {})
 	}
-	s.routeMu.Unlock()
+}
 
-	// 3–5. drain, transplant, install: driven by the worker loops.
-	mig := &migration{from: from, moves: moves, marks: marks, done: make(chan struct{})}
-	donor.ctl <- ctlMsg{kind: ctlMigrate, mig: mig}
-	donor.wakeUp()
-	<-mig.done
+func (s *Sharded) resume() {
+	s.routeMu.Unlock()
+	s.migMu.Unlock()
+}
+
+// migrate executes moves (distinct slots) in one pause and returns how many
+// slots moved. Donors are read from the table under the pause, so a plan made
+// against an older table moves each slot from wherever it lives now; a move
+// whose slot already lives on its recipient is skipped.
+func (s *Sharded) migrate(moves []slotMove) int {
+	if !s.handoff || s.closed.Load() {
+		return 0
+	}
+	s.pause()
+	defer s.resume()
+	table := s.table.Load()
+	// One handoff per (donor, recipient) pair.
+	type pair struct {
+		from, to int
+		slots    []int
+	}
+	var pairs []pair
+	for _, mv := range moves {
+		from := int(table.owner[mv.slot])
+		if from == mv.to {
+			continue
+		}
+		i := slices.IndexFunc(pairs, func(p pair) bool { return p.from == from && p.to == mv.to })
+		if i < 0 {
+			i = len(pairs)
+			pairs = append(pairs, pair{from: from, to: mv.to})
+		}
+		pairs[i].slots = append(pairs[i].slots, mv.slot)
+	}
+	next := table.clone()
+	moved := 0
+	for _, p := range pairs {
+		donor, rcpt := s.workers[p.from], s.workers[p.to]
+		var st core.HandoffState
+		var err error
+		donor.do(func() {
+			st, err = donor.op.Merger().(core.Handoff).ExtractKeys(slotsMatcher(s.key, p.slots))
+		})
+		if err != nil {
+			continue // nothing was extracted: the slots stay with the donor
+		}
+		rcpt.do(func() { rcpt.op.Merger().(core.Handoff).InstallKeys(st) })
+		for _, sl := range p.slots {
+			next.owner[sl] = int32(p.to)
+		}
+		moved += len(p.slots)
+		donor.tel.Migrated(p.from, p.to, st.Clock, st.Keys)
+		s.tel.Migrated(p.from, p.to, st.Clock, st.Keys)
+	}
+	if moved > 0 {
+		s.table.Store(next)
+		s.migrations.Add(int64(moved))
+	}
+	return moved
 }
 
 // RebalanceConfig tunes the adaptive hot-slot controller (ShardRebalance).
@@ -167,9 +126,6 @@ type RebalanceConfig struct {
 	// MinSample is the minimum number of routed elements a window must carry
 	// before it is acted on (default 2048) — idle pools never churn slots.
 	MinSample int64
-	// Cooldown is how many windows to skip after a migration, letting the
-	// new assignment's load profile settle before re-evaluating (default 1).
-	Cooldown int
 }
 
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
@@ -182,16 +138,13 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	if c.MinSample <= 0 {
 		c.MinSample = 2048
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 1
-	}
 	return c
 }
 
 // ShardRebalance attaches the adaptive repartitioning controller: per-slot
 // load is sampled every Interval, and when one worker's window load exceeds
-// Threshold times the mean, the hottest movable slot migrates from the most-
-// to the least-loaded worker through the live handoff protocol above. The
+// Threshold times the mean, a plan of slot moves from the most- to the least-
+// loaded workers is executed in one pause of the pool (migrate above). The
 // option is inert when the pool's algorithm does not support core.Handoff
 // (e.g. R3 with InsertFullyFrozen) or when the pool has one partition.
 func ShardRebalance(cfg RebalanceConfig) ShardedOption {
@@ -211,9 +164,13 @@ type rebalancer struct {
 	stopc chan struct{}
 	donec chan struct{}
 
-	last       [Slots]int64 // cumulative per-slot load at the previous window
-	migrations atomic.Int64
+	last [Slots]int64 // cumulative per-slot load at the previous window
 }
+
+// rebalanceCooldown is how many windows the controller skips after a
+// migration, letting the new assignment's load profile settle before it is
+// re-evaluated.
+const rebalanceCooldown = 1
 
 func newRebalancer(s *Sharded, cfg RebalanceConfig) *rebalancer {
 	return &rebalancer{
@@ -224,7 +181,7 @@ func newRebalancer(s *Sharded, cfg RebalanceConfig) *rebalancer {
 	}
 }
 
-// stop halts the controller and waits for it, letting an in-flight migration
+// stop halts the controller and waits for it, letting a migration in progress
 // finish. Close calls this before marking the pool closed, so migrations
 // always run against live workers.
 func (r *rebalancer) stop() {
@@ -248,7 +205,7 @@ func (r *rebalancer) run() {
 			continue
 		}
 		if r.tickOnce() {
-			cooldown = r.cfg.Cooldown
+			cooldown = rebalanceCooldown
 		}
 	}
 }
@@ -281,13 +238,9 @@ func (r *rebalancer) tickOnce() bool {
 	}
 	// Planning is virtual: moves are applied to the window's projection so
 	// each pick sees its predecessors, and nothing migrates until the plan
-	// is complete. Execution then batches the plan per donor, because a
-	// donor's drain barrier dominates migration cost and is paid once per
-	// batch regardless of how many slots leave.
+	// is complete. The whole plan then executes in one pause.
 	var planned [Slots]bool
 	var plan []slotMove
-	var donors []int
-	byDonor := make(map[int][]slotMove)
 	for len(plan) < 2*nw {
 		maxW, minW := 0, 0
 		for p := 1; p < nw; p++ {
@@ -323,37 +276,10 @@ func (r *rebalancer) tickOnce() bool {
 			break
 		}
 		planned[best] = true
-		mv := slotMove{slot: best, to: minW}
-		plan = append(plan, mv)
-		if byDonor[maxW] == nil {
-			donors = append(donors, maxW)
-		}
-		byDonor[maxW] = append(byDonor[maxW], mv)
+		plan = append(plan, slotMove{slot: best, to: minW})
 		load[maxW] -= delta[best]
 		load[minW] += delta[best]
 		owner[best] = int32(minW)
 	}
-	if len(plan) == 0 {
-		return false
-	}
-	migrated := 0
-	for _, from := range donors {
-		moves := byDonor[from]
-		s.migMu.Lock()
-		// Re-read under migMu: a manual MigrateSlot may have moved a slot
-		// since planning; drop any move whose donor is stale.
-		live := moves[:0]
-		for _, mv := range moves {
-			if int(s.table.Load().owner[mv.slot]) == from {
-				live = append(live, mv)
-			}
-		}
-		if len(live) > 0 {
-			s.migrateLocked(from, live)
-			migrated += len(live)
-		}
-		s.migMu.Unlock()
-	}
-	r.migrations.Add(int64(migrated))
-	return migrated > 0
+	return len(plan) > 0 && s.migrate(plan) > 0
 }

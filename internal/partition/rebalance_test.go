@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"lmerge/internal/core"
 	"lmerge/internal/gen"
@@ -117,10 +119,28 @@ func TestSyncMigrateSlotRejectsFullyFrozen(t *testing.T) {
 	}
 }
 
+// sweepSlots migrates slots ring-around-the-rosy without rest until stop
+// closes, reporting the duration of every MigrateSlot call that moved one.
+func sweepSlots(pool *Sharded, stop <-chan struct{}, moved func(pause time.Duration)) {
+	for step := 0; ; step++ {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		t0 := time.Now()
+		if pool.MigrateSlot((step*11)%Slots, step%pool.Partitions()) {
+			moved(time.Since(t0))
+		}
+	}
+}
+
 // TestShardedMigrateMidStream drives concurrent publishers against a Sharded
 // pool while a controller goroutine sweeps slot ownership ring-around-the-
-// rosy through the live migration protocol. The reunified output must stay a
-// valid stream and reconstitute to the script TDB.
+// rosy. The publishers hold at a gate until the first slot has moved, so
+// migrations and traffic overlap on any scheduler. The reunified output must
+// stay a valid stream and reconstitute to the script TDB. MigrateSlot blocks
+// for the whole pause, so the logged call durations are the pause.
 func TestShardedMigrateMidStream(t *testing.T) {
 	events := 1500
 	if testing.Short() {
@@ -160,21 +180,17 @@ func TestShardedMigrateMidStream(t *testing.T) {
 		ids[i] = pool.Attach(temporal.MinTime)
 	}
 	stopMig := make(chan struct{})
+	gate := make(chan struct{})
+	var pauses []time.Duration // the sweeper's until migDone
 	var migDone sync.WaitGroup
 	migDone.Add(1)
 	go func() {
 		defer migDone.Done()
-		step := 0
-		for {
-			select {
-			case <-stopMig:
-				return
-			default:
+		sweepSlots(pool, stopMig, func(pause time.Duration) {
+			if pauses = append(pauses, pause); len(pauses) == 1 {
+				close(gate)
 			}
-			slot := (step * 11) % Slots
-			pool.MigrateSlot(slot, step%parts)
-			step++
-		}
+		})
 	}()
 
 	var wg sync.WaitGroup
@@ -182,6 +198,7 @@ func TestShardedMigrateMidStream(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			<-gate
 			els := streams[i]
 			const batch = 48
 			for lo := 0; lo < len(els); lo += batch {
@@ -197,9 +214,8 @@ func TestShardedMigrateMidStream(t *testing.T) {
 	close(stopMig)
 	migDone.Wait()
 
-	if pool.Migrations() == 0 {
-		t.Fatal("no migration ever completed")
-	}
+	slices.Sort(pauses)
+	t.Logf("%d slots moved; MigrateSlot pause p50 %v, max %v", len(pauses), pauses[len(pauses)/2], pauses[len(pauses)-1])
 	if err := pool.Close(); err != nil {
 		t.Fatalf("pool error: %v", err)
 	}
@@ -293,4 +309,104 @@ func TestRebalanceSoak(t *testing.T) {
 	if migs == 0 {
 		t.Log("note: adaptive controller never triggered in this run (timing-dependent)")
 	}
+}
+
+// TestCutDuringMigrations takes cuts the way the server's checkpoint does —
+// publishers excluded by a barrier the cutter holds, the slot mover not — while
+// a sweeper migrates without pause and publishers load the pool between cuts.
+// Every cut must be consistent on its own: each snapshot key sits in the
+// partition that owns its slot in the cut's table, and the snapshots together
+// hold exactly the live events of the output emitted so far.
+func TestCutDuringMigrations(t *testing.T) {
+	sc := gen.NewScript(gen.Config{Events: 1500, Seed: 41, Revisions: 0.3, RemoveProb: 0.1,
+		PayloadBytes: 8, EventDuration: 4000, MaxGap: 9, KeySkew: 2})
+	const pubs, parts = 3, 3
+	outTDB := temporal.NewTDB() // written under the pool's emit mutex
+	var applyErr error
+	pool := NewSharded(parts, func(emit core.Emit) core.Merger { return core.NewR3(emit) },
+		func(e temporal.Element) {
+			if err := outTDB.Apply(e); err != nil && applyErr == nil {
+				applyErr = err
+			}
+		})
+	defer pool.Close()
+	ids := make([]core.StreamID, pubs)
+	for i := range ids {
+		ids[i] = pool.Attach(temporal.MinTime)
+	}
+
+	stop := make(chan struct{})
+	var sweeper sync.WaitGroup
+	sweeper.Add(1)
+	go func() {
+		defer sweeper.Done()
+		sweepSlots(pool, stop, func(time.Duration) {})
+	}()
+	var barrier sync.RWMutex // the server's cpMu
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			els := sc.Render(gen.RenderOptions{Seed: int64(90 + i), Disorder: 0.3, StableEvery: 10 + i})
+			for lo := 0; lo < len(els); lo += 16 {
+				barrier.RLock()
+				err := pool.ProcessBatch(ids[i], els[lo:min(lo+16, len(els))])
+				barrier.RUnlock()
+				if err != nil {
+					t.Errorf("publisher %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	cuts, keys := 0, 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // one last cut, of the final state
+		default:
+		}
+		barrier.Lock()
+		cut := pool.Cut()
+		var got []temporal.Event
+		for p, snap := range cut.Snapshots {
+			for _, e := range snap {
+				if e.Kind != temporal.KindInsert {
+					continue
+				}
+				if owner := cut.RouteOwner[slotOf(DefaultKey(e.Payload))]; int(owner) != p {
+					t.Fatalf("cut %d (epoch %d): %v is in partition %d's snapshot, its slot belongs to %d",
+						cuts, cut.RouteEpoch, e, p, owner)
+				}
+				got = append(got, temporal.Event{Payload: e.Payload, Vs: e.Vs, Ve: e.Ve})
+			}
+		}
+		var want []temporal.Event
+		for _, ev := range outTDB.Events() {
+			if ev.Ve >= outTDB.Stable() {
+				want = append(want, ev)
+			}
+		}
+		barrier.Unlock()
+		// Events() comes in key order; R3 holds one event per key.
+		slices.SortFunc(got, func(a, b temporal.Event) int { return a.Key().Compare(b.Key()) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("cut %d (epoch %d): snapshots hold %d live events, the output so far has %d", cuts, cut.RouteEpoch, len(got), len(want))
+		}
+		cuts++
+		keys += len(got)
+	}
+	close(stop)
+	sweeper.Wait()
+	if applyErr != nil {
+		t.Fatalf("reunified output is not a valid stream: %v", applyErr)
+	}
+	if keys == 0 || pool.Migrations() == 0 {
+		t.Fatalf("vacuous run: %d cuts saw %d keys across %d migrations", cuts, keys, pool.Migrations())
+	}
+	t.Logf("%d cuts, %d snapshot keys checked, %d slots moved", cuts, keys, pool.Migrations())
 }

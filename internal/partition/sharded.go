@@ -30,11 +30,10 @@ var ErrShardedClosed = errors.New("partition: sharded pool closed")
 // delaying a progress assertion only weakens it, and the batch's own elements
 // were already constrained by it upstream).
 //
-// Slot ownership can move between workers live — adaptively via the
-// ShardRebalance controller or deterministically via MigrateSlot — using
-// snapshot-style state handoff (core.Handoff; the paper's jumpstart/cutover
-// machinery applied internally, see DESIGN.md §11 for the drain/cutover state
-// machine).
+// Slot ownership can move between workers while the pool runs — adaptively
+// via the ShardRebalance controller or deterministically via MigrateSlot — by
+// stop-the-world quiesce–move–resume over core.Handoff (rebalance.go; DESIGN.md
+// §11 carries the protocol and its invariant).
 //
 // It is the ingestion backend behind lmserved's -partitions flag: publisher
 // handlers enqueue and return, per-partition merge work proceeds in parallel,
@@ -43,17 +42,18 @@ var ErrShardedClosed = errors.New("partition: sharded pool closed")
 // Ordering contract: Attach/Detach/ProcessBatch for one publisher must be
 // issued from one goroutine (the server's per-connection handler) — that is
 // what makes the rings single-producer. Different publishers interleave
-// freely. Stats/SizeBytes/PartitionStats/MigrateSlot are cold-path calls from
-// any goroutine, but not concurrently with Close.
+// freely. Stats/SizeBytes/PartitionStats/MigrateSlot/Cut are cold-path calls
+// from any goroutine, but not concurrently with Close.
 type Sharded struct {
 	workers []*shardWorker
 	key     KeyFunc
 	emit    core.Emit
 
-	// table is the current routing epoch. routeMu's read side spans one
-	// batch's route+enqueue so that a migration's write side (flip + ring-tail
-	// snapshot) observes either all or none of a batch's pushes — the drain
-	// barrier's soundness depends on that atomicity, see rebalance.go.
+	// table is the current routing epoch. routeMu's read side spans every
+	// section that puts work in flight — one batch's route+enqueue, a detach's
+	// ring pushes, an attach's control round trips — so holding the write side
+	// (pause) means nothing new can enter the pool, and every worker has been
+	// handed the same stables, attaches and detaches.
 	table   atomic.Pointer[routeTable]
 	routeMu sync.RWMutex
 
@@ -90,19 +90,12 @@ type Sharded struct {
 	// controller is attached.
 	slotLoad [Slots]atomic.Int64
 
-	// migMu serialises migrations (adaptive controller and manual
-	// MigrateSlot); prepReply is the reusable recipient-clock reply lane.
-	migMu     sync.Mutex
-	prepReply chan temporal.Time
-	handoff   bool // workers' algorithm supports core.Handoff
-	reb       *rebalancer
-
-	// coldMu serialises cold-path worker queries; statsReply is their
-	// reusable reply lane (allocated once, not per call).
-	coldMu     sync.Mutex
-	statsReply chan core.Stats
-
-	manualMigs atomic.Int64 // completed MigrateSlot calls
+	// migMu serialises the stop-the-world operations: migrations (adaptive
+	// controller and manual MigrateSlot) and Cut. Taken before routeMu.
+	migMu      sync.Mutex
+	handoff    bool // workers' algorithm supports core.Handoff
+	reb        *rebalancer
+	migrations atomic.Int64 // slots moved so far
 
 	errMu   sync.Mutex
 	err     error
@@ -124,14 +117,6 @@ type shardPub struct {
 	touched   []int
 }
 
-// heldEntry is one ring entry copied aside while its worker is frozen as a
-// migration recipient; replayed in order at install.
-type heldEntry struct {
-	kind ringKind
-	id   core.StreamID
-	els  []temporal.Element
-}
-
 type shardWorker struct {
 	idx int
 	op  *core.Operator
@@ -142,9 +127,10 @@ type shardWorker struct {
 	rings  atomic.Pointer[[]*spscRing]
 	ringMu sync.Mutex
 
-	// ctl carries cold-path queries and migration protocol steps; the worker
-	// polls it ahead of ring work so control never queues behind data.
-	ctl chan ctlMsg
+	// ctl carries cold-path work — stats, attach, snapshot, handoff — as
+	// functions to run on the worker's goroutine (see do); the worker polls it
+	// ahead of ring work so control never queues behind data.
+	ctl chan func()
 
 	// parked/wake implement the hybrid wait: the worker spins briefly, then
 	// publishes parked=true, re-checks for work, and blocks on wake.
@@ -159,33 +145,7 @@ type shardWorker struct {
 	tel  *obs.Node
 
 	// Worker-goroutine-local state (no locking).
-	out     []temporal.Element // staged emissions, flushed per drain
-	held    []heldEntry        // ring entries set aside while stalled
-	stalled bool               // frozen as migration recipient
-	mig     *migration         // pending migration with this worker as donor
-}
-
-type ctlKind uint8
-
-const (
-	ctlStats ctlKind = iota
-	ctlAttach
-	ctlPrepare
-	ctlMigrate
-	ctlInstall
-	ctlSnapshot
-)
-
-type ctlMsg struct {
-	kind       ctlKind
-	statsReply chan core.Stats
-	id         core.StreamID // ctlAttach: stream to register
-	joinTime   temporal.Time // ctlAttach: its join point
-	ack        chan struct{} // ctlAttach: completion barrier
-	prepReply  chan temporal.Time
-	mig        *migration
-	st         core.HandoffState
-	snapReply  chan temporal.Stream // ctlSnapshot: worker's Snapshot() stream
+	out []temporal.Element // staged emissions, flushed per drain
 }
 
 // workerSpin is how many empty scan passes a worker burns (yielding between
@@ -267,16 +227,14 @@ func NewSharded(parts int, mk func(core.Emit) core.Merger, emit core.Emit, opts 
 		emit = func(temporal.Element) {}
 	}
 	s := &Sharded{
-		workers:    make([]*shardWorker, parts),
-		key:        cfg.key,
-		emit:       emit,
-		front:      newFrontier(parts),
-		pubs:       make(map[core.StreamID]*shardPub),
-		fb:         cfg.fb,
-		ffSeen:     make(map[core.StreamID][]temporal.Time),
-		ffSent:     make(map[core.StreamID]temporal.Time),
-		prepReply:  make(chan temporal.Time, 1),
-		statsReply: make(chan core.Stats, 1),
+		workers: make([]*shardWorker, parts),
+		key:     cfg.key,
+		emit:    emit,
+		front:   newFrontier(parts),
+		pubs:    make(map[core.StreamID]*shardPub),
+		fb:      cfg.fb,
+		ffSeen:  make(map[core.StreamID][]temporal.Time),
+		ffSent:  make(map[core.StreamID]temporal.Time),
 	}
 	s.table.Store(newRouteTable(parts))
 	s.maxStable.Store(int64(temporal.MinTime))
@@ -284,7 +242,7 @@ func NewSharded(parts int, mk func(core.Emit) core.Merger, emit core.Emit, opts 
 		s.tel = cfg.reg.Node(cfg.obsName)
 	}
 	for p := range s.workers {
-		w := &shardWorker{idx: p, ctl: make(chan ctlMsg, 4), wake: make(chan struct{}, 1)}
+		w := &shardWorker{idx: p, ctl: make(chan func(), 1), wake: make(chan struct{}, 1)}
 		var opOpts []core.OperatorOption
 		if cfg.fb != nil && cfg.lag >= 0 {
 			opOpts = append(opOpts, core.WithFeedback(func(f core.Feedback) {
@@ -322,7 +280,7 @@ func NewSharded(parts int, mk func(core.Emit) core.Merger, emit core.Emit, opts 
 func (s *Sharded) Partitions() int { return len(s.workers) }
 
 // run is the worker loop: control first, then a drain pass over the rings,
-// then the migration barrier check, then spin/park.
+// then spin/park.
 func (s *Sharded) run(w *shardWorker) {
 	defer s.wg.Done()
 	idle := 0
@@ -330,8 +288,8 @@ func (s *Sharded) run(w *shardWorker) {
 		did := false
 		for {
 			select {
-			case m := <-w.ctl:
-				s.handleCtl(w, m)
+			case fn := <-w.ctl:
+				fn()
 				did = true
 				continue
 			default:
@@ -343,16 +301,12 @@ func (s *Sharded) run(w *shardWorker) {
 				did = true
 			}
 		}
-		if w.mig != nil && w.barrierMet() {
-			s.completeMigration(w)
-			did = true
-		}
 		if did {
 			w.publishSize()
 			idle = 0
 			continue
 		}
-		if s.closed.Load() && !w.stalled && w.mig == nil && len(w.ctl) == 0 {
+		if s.closed.Load() && len(w.ctl) == 0 {
 			return
 		}
 		idle++
@@ -368,8 +322,8 @@ func (s *Sharded) run(w *shardWorker) {
 		}
 		select {
 		case <-w.wake:
-		case m := <-w.ctl:
-			s.handleCtl(w, m)
+		case fn := <-w.ctl:
+			fn()
 			w.publishSize()
 		}
 		w.parked.Store(false)
@@ -383,10 +337,9 @@ func (s *Sharded) run(w *shardWorker) {
 // fast-forward feedback path (and freshness fairness generally) depends on.
 const drainQuantum = 4
 
-// drainRing consumes up to drainQuantum entries of the ring's backlog. A
-// stalled worker (migration recipient) still consumes — entries are copied
-// to the holding queue so producers never block against a frozen partition —
-// but merges nothing, so its clock stays pinned until install.
+// drainRing consumes up to drainQuantum entries of the ring's backlog and
+// flushes what they emitted. An entry's head advance follows its merge, so an
+// empty ring means every entry pushed to it has been merged.
 func (s *Sharded) drainRing(w *shardWorker, r *spscRing) bool {
 	h := r.head.Load()
 	t := r.tail.Load()
@@ -399,18 +352,6 @@ func (s *Sharded) drainRing(w *shardWorker, r *spscRing) bool {
 	var n int64
 	for ; h != t; h++ {
 		e := &r.slots[h%ringDepth]
-		if w.stalled {
-			w.held = append(w.held, heldEntry{
-				kind: e.kind,
-				id:   e.id,
-				els:  append([]temporal.Element(nil), e.els...),
-			})
-			if e.kind == ringDetach {
-				w.dropRing(r)
-			}
-			r.head.Store(h + 1)
-			continue
-		}
 		switch e.kind {
 		case ringBatch:
 			if err := w.op.ProcessBatch(e.id, e.els); err != nil {
@@ -428,71 +369,6 @@ func (s *Sharded) drainRing(w *shardWorker, r *spscRing) bool {
 	}
 	s.flushEmit(w)
 	return true
-}
-
-func (s *Sharded) handleCtl(w *shardWorker, m ctlMsg) {
-	switch m.kind {
-	case ctlStats:
-		m.statsReply <- *w.op.Merger().Stats()
-	case ctlAttach:
-		// Runs on the control lane, not the rings: an attach must be ordered
-		// against every publisher's traffic (a worker that merges some other
-		// stream's stable first would emit output stables the new stream's
-		// queued data then violates), and Attach returning only after every
-		// worker acked is what provides that ordering — the new publisher
-		// cannot enqueue data anywhere until then, and no worker can reach a
-		// frontier that ignores it afterwards. Registering is legal even while
-		// stalled: AttachAt mutates only the merger's stream table.
-		w.op.AttachAt(m.id, m.joinTime)
-		m.ack <- struct{}{}
-	case ctlPrepare:
-		// Freeze as migration recipient: report the pinned clock. From here
-		// until ctlInstall, drainRing diverts everything to the holding queue.
-		w.stalled = true
-		m.prepReply <- w.op.Merger().MaxStable()
-	case ctlMigrate:
-		// This worker is the donor; extraction happens at the drain barrier
-		// (see barrierMet / completeMigration in the main loop).
-		w.mig = m.mig
-	case ctlInstall:
-		if h, ok := w.op.Merger().(core.Handoff); ok {
-			h.InstallKeys(m.st)
-		}
-		w.stalled = false
-		s.replayHeld(w)
-	case ctlSnapshot:
-		// Runs at a loop boundary, so any prior drain pass has flushed its
-		// emissions (drainRing ends with flushEmit) — the checkpoint layer's
-		// exactness depends on that ordering, see Quiesce.
-		if sn, ok := w.op.Merger().(core.Snapshotter); ok {
-			m.snapReply <- sn.Snapshot()
-		} else {
-			m.snapReply <- nil
-		}
-	}
-}
-
-// replayHeld runs the holding queue through normal processing after install.
-func (s *Sharded) replayHeld(w *shardWorker) {
-	held := w.held
-	var n int64
-	for i := range held {
-		e := &held[i]
-		switch e.kind {
-		case ringBatch:
-			if err := w.op.ProcessBatch(e.id, e.els); err != nil {
-				s.recordErr(err)
-			}
-			n += int64(len(e.els))
-		case ringDetach:
-			w.op.Detach(e.id)
-		}
-	}
-	if n != 0 {
-		w.processed.Add(n)
-	}
-	w.held = held[:0]
-	s.flushEmit(w)
 }
 
 // workerEmit is worker w's output callback, running on w's goroutine during
@@ -585,7 +461,9 @@ func (s *Sharded) onWorkerFeedback(p int, f core.Feedback) {
 // traffic against itself, while an attach must be ordered against every
 // other publisher's traffic: Attach returns only once every worker's merger
 // knows the stream, so no worker frontier computed after this call can
-// ignore it, and the publisher cannot have enqueued data before it.
+// ignore it, and the publisher cannot have enqueued data before it. The round
+// trips run under the route read-lock so that a pause never observes a stream
+// registered on some workers only.
 func (s *Sharded) Attach(joinTime temporal.Time) core.StreamID {
 	nw := len(s.workers)
 	pub := &shardPub{
@@ -600,13 +478,12 @@ func (s *Sharded) Attach(joinTime temporal.Time) core.StreamID {
 	s.nextID++
 	s.pubs[id] = pub
 	s.pubMu.Unlock()
-	ack := make(chan struct{}, 1)
+	s.routeMu.RLock()
 	for p, w := range s.workers {
 		w.addRing(pub.rings[p])
-		w.ctl <- ctlMsg{kind: ctlAttach, id: id, joinTime: joinTime, ack: ack}
-		w.wakeUp()
-		<-ack
+		w.do(func() { w.op.AttachAt(id, joinTime) })
 	}
+	s.routeMu.RUnlock()
 	s.tel.Attached(id, joinTime)
 	return id
 }
@@ -620,9 +497,9 @@ func (s *Sharded) Attach(joinTime temporal.Time) core.StreamID {
 // per-partition counter is final, which the observability layer's routing-
 // conservation invariant (and its tests) depend on. Blocking here is fine:
 // Detach is connection teardown, the one moment a publisher handler has
-// nothing left to pipeline. A ring's entries can outlive this wait only
-// inside a migration recipient's holding queue, which its in-flight
-// migration replays before completing.
+// nothing left to pipeline. The detach entries are pushed under the route
+// read-lock, like a batch: either every worker has been handed the detach
+// when a pause begins, or none has.
 func (s *Sharded) Detach(id core.StreamID) {
 	if s.closed.Load() {
 		return
@@ -634,10 +511,11 @@ func (s *Sharded) Detach(id core.StreamID) {
 	if pub == nil {
 		return
 	}
-	for p, w := range s.workers {
+	s.routeMu.RLock()
+	for p := range s.workers {
 		pub.rings[p].push(ringDetach, id, nil)
-		w.wakeUp()
 	}
+	s.routeMu.RUnlock()
 	for p, w := range s.workers {
 		for pub.rings[p].pending() > 0 {
 			w.wakeUp()
@@ -713,9 +591,9 @@ func (s *Sharded) ProcessBatch(id core.StreamID, els []temporal.Element) error {
 	}
 
 	// Pass 2 (under the route read-lock): resolve owners against one table
-	// version and enqueue. Keeping the pushes inside the read section is what
-	// makes a migration's tail snapshot a sound drain barrier: the write side
-	// cannot interleave with a half-pushed batch.
+	// version and enqueue. Keeping the pushes inside the read section means a
+	// pause never sees a half-pushed batch: a stable and the data it covers
+	// reach the workers together or not at all.
 	s.routeMu.RLock()
 	table := s.table.Load()
 	for i, e := range els {
@@ -804,19 +682,14 @@ func (s *Sharded) SizeBytes() int {
 	return total
 }
 
-// workerStats fetches each worker's merger counters via its control lane,
-// reusing the pool's reply channel across workers and calls.
+// workerStats fetches each worker's merger counters via its control lane.
 func (s *Sharded) workerStats() []core.Stats {
 	out := make([]core.Stats, len(s.workers))
 	if s.closed.Load() {
 		return out
 	}
-	s.coldMu.Lock()
-	defer s.coldMu.Unlock()
 	for p, w := range s.workers {
-		w.ctl <- ctlMsg{kind: ctlStats, statsReply: s.statsReply}
-		w.wakeUp()
-		out[p] = <-s.statsReply
+		w.do(func() { out[p] = *w.op.Merger().Stats() })
 	}
 	return out
 }
@@ -849,10 +722,7 @@ func (s *Sharded) PartitionStats() []PartitionStat {
 	}
 	s.emitMu.Unlock()
 	for p, w := range s.workers {
-		depth := 0
-		for _, r := range w.ringList() {
-			depth += r.pending()
-		}
+		depth := w.backlog()
 		out[p].QueueDepth = depth
 		out[p].Processed = w.processed.Load()
 		w.tel.SetQueueDepth(depth)
@@ -880,33 +750,21 @@ func (s *Sharded) SlotLoads() (out [Slots]int64) {
 }
 
 // MigrateSlot implements Rebalancer: it moves ownership of one routing slot
-// to worker `to` through the live migration protocol (rebalance.go),
-// blocking until the state transplant has been handed to the recipient. It
-// reports whether a migration happened; it is a no-op when the slot already
-// lives on `to`, when the workers' algorithm does not support handoff, or on
-// a closed pool. Cold path — not for concurrent use with Close.
+// to worker `to` (see migrate in rebalance.go), blocking for the whole pause.
+// It reports whether the slot moved; it is a no-op when the slot already lives
+// on `to`, when the workers' algorithm does not support handoff, when the
+// donor cannot extract the slot's keys (the slot then stays where it is), or
+// on a closed pool. Cold path — not for concurrent use with Close.
 func (s *Sharded) MigrateSlot(slot, to int) bool {
-	if s.closed.Load() || slot < 0 || slot >= Slots || to < 0 || to >= len(s.workers) || !s.handoff {
+	if slot < 0 || slot >= Slots || to < 0 || to >= len(s.workers) {
 		return false
 	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	from := int(s.table.Load().owner[slot])
-	if from == to {
-		return false
-	}
-	s.migrateLocked(from, []slotMove{{slot: slot, to: to}})
-	s.manualMigs.Add(1)
-	return true
+	return s.migrate([]slotMove{{slot: slot, to: to}}) == 1
 }
 
-// Migrations returns the number of completed slot migrations.
-func (s *Sharded) Migrations() int64 {
-	if s.reb == nil {
-		return s.manualMigs.Load()
-	}
-	return s.reb.migrations.Load() + s.manualMigs.Load()
-}
+// Migrations returns the number of slots moved so far, by the adaptive
+// controller and MigrateSlot alike.
+func (s *Sharded) Migrations() int64 { return s.migrations.Load() }
 
 // Close drains and stops the workers. No Attach/Detach/ProcessBatch may be
 // in flight or issued afterwards (the server closes publisher handlers
@@ -929,6 +787,27 @@ func (s *Sharded) Close() error {
 }
 
 // --- shardWorker helpers ---
+
+// do runs fn on w's goroutine at its next loop boundary — after any drain
+// pass in progress has flushed its emissions — and returns once fn has. The
+// worker's merger is touched by its own goroutine only; this is how every
+// other goroutine reaches it. Not for use on a closed pool (the worker may
+// have exited).
+func (w *shardWorker) do(fn func()) {
+	done := make(chan struct{})
+	w.ctl <- func() { fn(); close(done) }
+	w.wakeUp()
+	<-done
+}
+
+// backlog is the number of entries pending across the worker's ingress rings.
+func (w *shardWorker) backlog() int {
+	n := 0
+	for _, r := range w.ringList() {
+		n += r.pending()
+	}
+	return n
+}
 
 // publishSize makes the merger's current footprint visible to SizeBytes.
 func (w *shardWorker) publishSize() { w.size.Store(int64(w.op.Merger().SizeBytes())) }
@@ -979,13 +858,5 @@ func (w *shardWorker) wakeUp() {
 // the worker re-checks it between publishing parked=true and blocking, which
 // with the producers' push-then-check-parked order makes the park race-free.
 func (w *shardWorker) workReady() bool {
-	if len(w.ctl) > 0 {
-		return true
-	}
-	for _, r := range w.ringList() {
-		if r.pending() > 0 {
-			return true
-		}
-	}
-	return false
+	return len(w.ctl) > 0 || w.backlog() > 0
 }

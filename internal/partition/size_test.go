@@ -3,7 +3,6 @@ package partition
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -15,20 +14,11 @@ import (
 )
 
 // settle waits until every routed element is merged and every worker has
-// published the resulting size: the rings run empty, then two control-lane
-// round trips per worker — a worker publishes at the end of the loop pass
-// that answered the first, so it has by the time it answers the second.
-func settle(pool *Sharded) {
-	for busy := true; busy; {
-		busy = false
-		for _, ps := range pool.PartitionStats() {
-			busy = busy || ps.QueueDepth > 0
-		}
-		runtime.Gosched()
-	}
-	pool.Stats()
-	pool.Stats()
-}
+// published the resulting size: a cut drains the rings and then makes two
+// control-lane round trips per worker — a worker publishes at the end of the
+// loop pass that answered the first, so it has by the time it answers the
+// second.
+func settle(pool *Sharded) { pool.Cut() }
 
 // TestShardedSizeBytesConcurrent polls SizeBytes (the /metrics and stats-tick
 // access pattern) from several goroutines while publishers keep every worker
@@ -101,10 +91,10 @@ func TestShardedSizeBytesConcurrent(t *testing.T) {
 }
 
 // TestMigrateUnreadableSpillRun: a spill-wrapped donor whose run file was
-// damaged cannot reach all of its keys. The synchronous merger refuses the
-// move and keeps the slot where it is; the sharded pool, whose routing has
-// already flipped when extraction runs, fails loudly through its sticky
-// error instead of merging on with the slot's state stranded.
+// damaged cannot reach all of its keys. Both Rebalancer implementations then
+// refuse the move the same way: MigrateSlot reports false, the slot and its
+// state stay with the donor, nothing is recorded as a fault, and a healthy
+// partition still donates.
 func TestMigrateUnreadableSpillRun(t *testing.T) {
 	sc := gen.NewScript(gen.Config{Events: 300, Seed: 13, PayloadBytes: 8, EventDuration: 1 << 30, MaxGap: 9})
 	els := sc.Render(gen.RenderOptions{Seed: 1, StableEvery: 10})
@@ -121,82 +111,75 @@ func TestMigrateUnreadableSpillRun(t *testing.T) {
 			return sp
 		}
 	}
-	// damage truncates every run file under part's directory, reporting how
-	// many there were.
-	damage := func(t *testing.T, root string, part int) int {
-		files, err := filepath.Glob(filepath.Join(root, string(rune('a'+part)), "*.lmrun"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			if err := os.Truncate(f, 5); err != nil {
+	// Each implementation is built over two wrapped partitions and fed els;
+	// errOf is its asynchronous error state.
+	impls := []struct {
+		name  string
+		build func(t *testing.T, w func(int, core.Merger) core.Merger) (reb Rebalancer, errOf func() error)
+	}{
+		{"sync", func(t *testing.T, w func(int, core.Merger) core.Merger) (Rebalancer, func() error) {
+			part := 0
+			pm := NewWith(2, func(emit core.Emit) core.Merger {
+				m := w(part, core.NewR3(emit))
+				part++
+				return m
+			}, nil)
+			pm.Attach(0)
+			for _, e := range els {
+				if err := pm.Process(0, e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return pm.(Rebalancer), func() error { return nil }
+		}},
+		{"sharded", func(t *testing.T, w func(int, core.Merger) core.Merger) (Rebalancer, func() error) {
+			pool := NewSharded(2, func(emit core.Emit) core.Merger { return core.NewR3(emit) }, nil, ShardWrap(w))
+			t.Cleanup(func() { pool.Close() })
+			if err := pool.ProcessBatch(pool.Attach(temporal.MinTime), els); err != nil {
 				t.Fatal(err)
 			}
-		}
-		return len(files)
+			settle(pool)
+			return pool, pool.Err
+		}},
 	}
-
-	t.Run("sync", func(t *testing.T) {
-		root := t.TempDir()
-		w := wrap(t, root)
-		part := 0
-		pm := NewWith(2, func(emit core.Emit) core.Merger {
-			m := w(part, core.NewR3(emit))
-			part++
-			return m
-		}, nil)
-		pm.Attach(0)
-		for _, e := range els {
-			if err := pm.Process(0, e); err != nil {
+	for _, impl := range impls {
+		t.Run(impl.name, func(t *testing.T) {
+			root := t.TempDir()
+			reb, errOf := impl.build(t, wrap(t, root))
+			slot := 0
+			for reb.SlotOwner(slot) != 0 {
+				slot++
+			}
+			// Truncate every run file of partition 0.
+			files, err := filepath.Glob(filepath.Join(root, "a", "*.lmrun"))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		reb := pm.(Rebalancer)
-		slot := 0
-		for reb.SlotOwner(slot) != 0 {
-			slot++
-		}
-		if damage(t, root, 0) == 0 {
-			t.Fatal("setup: partition 0 spilled nothing")
-		}
-		if reb.MigrateSlot(slot, 1) {
-			t.Error("MigrateSlot succeeded over an unreadable run")
-		}
-		if reb.SlotOwner(slot) != 0 {
-			t.Errorf("slot %d moved to %d despite the failed extraction", slot, reb.SlotOwner(slot))
-		}
-		// The undamaged partition still donates: only the read error above
-		// explains the refusal.
-		for reb.SlotOwner(slot) != 1 {
-			slot++
-		}
-		if !reb.MigrateSlot(slot, 0) {
-			t.Error("MigrateSlot from the healthy partition refused")
-		}
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		root := t.TempDir()
-		pool := NewSharded(2, func(emit core.Emit) core.Merger { return core.NewR3(emit) }, nil,
-			ShardWrap(wrap(t, root)))
-		id := pool.Attach(temporal.MinTime)
-		if err := pool.ProcessBatch(id, els); err != nil {
-			t.Fatal(err)
-		}
-		settle(pool)
-		slot := 0
-		for pool.SlotOwner(slot) != 0 {
-			slot++
-		}
-		if damage(t, root, 0) == 0 {
-			t.Fatal("setup: worker 0 spilled nothing")
-		}
-		pool.MigrateSlot(slot, 1)
-		if pool.Err() == nil {
-			t.Error("pool carried on silently after a handoff lost its spilled keys")
-		}
-		if err := pool.Close(); err == nil {
-			t.Error("Close reported no error")
-		}
-	})
+			if len(files) == 0 {
+				t.Fatal("setup: partition 0 spilled nothing")
+			}
+			for _, f := range files {
+				if err := os.Truncate(f, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if reb.MigrateSlot(slot, 1) {
+				t.Error("MigrateSlot succeeded over an unreadable run")
+			}
+			if reb.SlotOwner(slot) != 0 {
+				t.Errorf("slot %d moved to %d despite the failed extraction", slot, reb.SlotOwner(slot))
+			}
+			if err := errOf(); err != nil {
+				t.Errorf("refused move left an error behind: %v", err)
+			}
+			// The undamaged partition still donates: only the read error above
+			// explains the refusal.
+			for reb.SlotOwner(slot) != 1 {
+				slot++
+			}
+			if !reb.MigrateSlot(slot, 0) {
+				t.Error("MigrateSlot from the healthy partition refused")
+			}
+		})
+	}
 }

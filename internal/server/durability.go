@@ -22,8 +22,8 @@ import (
 // so the write side (the checkpoint cut) observes either both halves or
 // neither. Merged-output emissions need no read lock: the single backend
 // emits synchronously inside ProcessBatch (already under the read side), and
-// the sharded pool's worker emissions are silenced by Quiesce before the cut
-// captures anything. mu guards the live Log pointer across rotations; it is
+// the sharded pool's worker emissions are drained by Sharded.Cut before the
+// checkpoint captures anything. mu guards the live Log pointer across rotations; it is
 // never held across a backend call.
 type durability struct {
 	dir   string
@@ -272,17 +272,18 @@ func (s *Server) recover(st *durable.RecoveryState) error {
 
 // quiesceBackend blocks until every enqueued element has been merged and its
 // emission flushed. The single backend is synchronous, so only the sharded
-// pool needs the drain.
+// pool needs the drain; recovery has no use for the cut that comes with it.
 func (s *Server) quiesceBackend() {
 	if sh, ok := s.be.(*partition.Sharded); ok {
-		sh.Quiesce()
+		sh.Cut()
 	}
 }
 
 // checkpoint takes one exact-cut checkpoint: stop the world (the barrier's
-// write side excludes every WAL-append/backend couple), drain the sharded
-// pool, capture backlog + snapshots + routing, commit the checkpoint file by
-// atomic rename, rotate the WAL onto the checkpoint's generation (re-logging
+// write side excludes every WAL-append/backend couple), cut the backend —
+// for the sharded pool one Sharded.Cut, which also excludes the rebalance
+// controller, drains the workers and returns snapshots and routing together —
+// capture the backlog, commit the checkpoint file by atomic rename, rotate the WAL onto the checkpoint's generation (re-logging
 // an attach for every live publisher, so the new generation replays
 // standalone), and prune generations the retained checkpoints cover.
 func (s *Server) checkpoint() error {
@@ -292,23 +293,24 @@ func (s *Server) checkpoint() error {
 	}
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
-	s.quiesceBackend()
-
-	snaps, ok := s.backendSnapshots()
-	if !ok {
-		return fmt.Errorf("server: merge case cannot snapshot")
+	c := &durable.Checkpoint{Gen: d.gen + 1}
+	switch be := s.be.(type) {
+	case *partition.Sharded:
+		// The -data-dir gate (snapshotCapable) already vetted the algorithm,
+		// and an idle partition legitimately snapshots to an empty stream.
+		cut := be.Cut()
+		c.Snapshots, c.RouteEpoch, c.RouteOwner = cut.Snapshots, cut.RouteEpoch, cut.RouteOwner
+	case *singleBackend:
+		snap, ok := be.Snapshot()
+		if !ok {
+			return fmt.Errorf("server: merge case cannot snapshot")
+		}
+		c.Snapshots = []temporal.Stream{snap}
 	}
-	c := &durable.Checkpoint{
-		Gen:    d.gen + 1,
-		Stable: s.be.MaxStable(),
-	}
-	c.Snapshots = snaps
+	c.Stable = s.be.MaxStable()
 	s.outMu.Lock()
 	c.Backlog = append(temporal.Stream(nil), s.backlog...)
 	s.outMu.Unlock()
-	if sh, okSh := s.be.(*partition.Sharded); okSh {
-		c.RouteEpoch, c.RouteOwner = sh.RouteState()
-	}
 	if err := durable.WriteCheckpoint(d.dir, c, d.tel); err != nil {
 		return err
 	}
@@ -363,24 +365,6 @@ func (s *Server) checkpointLoop() {
 			s.checkpoint()
 		}
 	}
-}
-
-// backendSnapshots collects the merger snapshot streams (one for the single
-// backend, one per partition for the sharded pool).
-func (s *Server) backendSnapshots() ([]temporal.Stream, bool) {
-	switch be := s.be.(type) {
-	case *partition.Sharded:
-		// The -data-dir gate (snapshotCapable) already vetted the algorithm,
-		// and an idle partition legitimately snapshots to an empty stream.
-		return be.PartitionSnapshots(), true
-	case *singleBackend:
-		snap, ok := be.Snapshot()
-		if !ok {
-			return nil, false
-		}
-		return []temporal.Stream{snap}, true
-	}
-	return nil, false
 }
 
 // Durability returns the persistence counters (zero-valued when -data-dir is

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lmerge/internal/core"
+	"lmerge/internal/durable"
 	"lmerge/internal/gen"
 	"lmerge/internal/partition"
 	"lmerge/internal/temporal"
@@ -27,6 +28,12 @@ func copyDataDir(t *testing.T, src string) string {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if os.IsNotExist(err) {
+			// The live server renamed a checkpoint temp file or pruned a
+			// generation between the listing and the read; an image taken at
+			// the later instant simply lacks it.
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,15 +241,36 @@ func TestCrashRestartPartialCheckpoint(t *testing.T) {
 	})
 }
 
-// tearNewestWAL chops n bytes off the newest WAL generation — the torn final
-// record a crash mid-write leaves.
-func tearNewestWAL(t *testing.T, dir string, n int) {
+// newestWAL returns the path of dir's newest WAL generation.
+func newestWAL(t *testing.T, dir string) string {
 	t.Helper()
 	paths, _ := filepath.Glob(filepath.Join(dir, "wal-*.lmwal"))
 	if len(paths) == 0 {
-		t.Fatal("no WAL to tear")
+		t.Fatal("no WAL in " + dir)
 	}
-	path := paths[len(paths)-1]
+	return paths[len(paths)-1]
+}
+
+// appendTornRecord leaves a strict prefix of one well-formed record frame
+// after the newest WAL's last record: the image of a crash during an append.
+func appendTornRecord(t *testing.T, dir string) {
+	t.Helper()
+	frame := durable.AppendRecord(nil, durable.Record{Kind: durable.RecEmit, Els: temporal.Stream{temporal.Stable(1)}})
+	f, err := os.OpenFile(newestWAL(t, dir), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(frame[:len(frame)-2]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tearNewestWAL chops n bytes off the newest WAL generation — a final record
+// lost to the crash (power loss without -fsync).
+func tearNewestWAL(t *testing.T, dir string, n int) {
+	t.Helper()
+	path := newestWAL(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -274,15 +274,16 @@ func (fl *fanLoop) closeSubLocked(c *csub, evict bool) {
 	prev := c.state
 	c.state = subClosed
 	c.evicted = evict
-	// Unblocks the owning worker mid-write, the credit reader mid-read, and
-	// tells the client.
-	c.conn.Close()
 	if prev == subStalled {
 		delete(fl.stalled, c)
 	}
 	if prev != subRunning {
 		fl.finalizeLocked(c)
 	}
+	// Unblocks the owning worker mid-write, the credit reader mid-read, and
+	// tells the client — last, so that a client that sees the disconnect of a
+	// subscriber no worker owned finds it already counted.
+	c.conn.Close()
 }
 
 // finalizeLocked detaches the cursor (releasing whatever log tail only this

@@ -10,6 +10,7 @@ import (
 
 	"lmerge/internal/chaos"
 	"lmerge/internal/core"
+	"lmerge/internal/durable"
 	"lmerge/internal/gen"
 	"lmerge/internal/temporal"
 )
@@ -281,7 +282,7 @@ func TestLagsBehind(t *testing.T) {
 
 func TestSlowSubscriberDoesNotStallOthers(t *testing.T) {
 	s, err := NewWithOptions("127.0.0.1:0", Options{
-		Case: core.CaseR3, FeedbackLag: -1, SubscriberBuffer: 64,
+		Case: core.CaseR3, FeedbackLag: -1, SubscriberBuffer: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +394,7 @@ func TestSubscriberPositionalResume(t *testing.T) {
 
 func TestResilientSubscriberSurvivesOverflowDisconnect(t *testing.T) {
 	s, err := NewWithOptions("127.0.0.1:0", Options{
-		Case: core.CaseR3, FeedbackLag: -1, SubscriberBuffer: 32,
+		Case: core.CaseR3, FeedbackLag: -1, SubscriberBuffer: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -508,11 +509,32 @@ func TestResilientPublisherGivesUpAgainstDeadServer(t *testing.T) {
 // recovered backlog is a superset of everything delivered pre-crash
 // (emissions are WAL-logged before subscriber delivery), and the recovered
 // stable frontier does not regress past the checkpoint/WAL stable.
+//
+// The crash image carries a torn in-flight append: a strict prefix of a
+// well-formed record after the last complete one. It does not lose a completed
+// record — that is power loss without -fsync, outside the write-ahead
+// contract, and whenever the lost record is the RecEmit of an element the
+// subscriber already holds it breaks the superset property by construction.
 func TestSubscriberResumeAcrossRestart(t *testing.T) {
+	subscriberResumeAcrossRestart(t, 20*time.Millisecond)
+}
+
+// checkpointsOff is a checkpoint period no test run reaches.
+const checkpointsOff = time.Hour
+
+// TestSubscriberResumeTornAppend is the deterministic sibling: with no
+// checkpoint ever rotating the WAL, the crash image's only log provably ends
+// in the RecEmit of the last element the subscriber consumed, followed by the
+// torn append.
+func TestSubscriberResumeTornAppend(t *testing.T) {
+	subscriberResumeAcrossRestart(t, checkpointsOff)
+}
+
+func subscriberResumeAcrossRestart(t *testing.T, every time.Duration) {
 	dir := t.TempDir()
 	sc := serverScript(700)
 	stream := sc.Render(gen.RenderOptions{Seed: 701, Disorder: 0.2, StableFreq: 0.05})
-	opts := Options{Case: core.CaseR3, FeedbackLag: -1, DataDir: dir, CheckpointEvery: 20 * time.Millisecond}
+	opts := Options{Case: core.CaseR3, FeedbackLag: -1, DataDir: dir, CheckpointEvery: every}
 	s, err := NewWithOptions("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -529,24 +551,32 @@ func TestSubscriberResumeAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := len(stream) / 2
+	// The prefix ends on the stable that sets its frontier, so the merged
+	// output reaching target means the whole prefix has been merged and
+	// stable(target) is the last emission.
+	cut, target := 0, temporal.MinTime
+	for i, e := range stream {
+		if e.Kind == temporal.KindStable && e.T() > target {
+			if target = e.T(); i >= len(stream)/2 {
+				cut = i + 1
+				break
+			}
+		}
+	}
+	if cut == 0 || cut == len(stream) {
+		t.Fatal("setup: no frontier-advancing stable in the stream's second half")
+	}
 	if err := p.SendStream(stream[:cut]); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	target := temporal.MinTime
-	for _, e := range stream[:cut] {
-		if e.Kind == temporal.KindStable {
-			target = temporal.MaxT(target, e.T())
-		}
-	}
 	waitStable(t, s, target)
 
 	// Read up to the prefix's stable point, then "crash" the server: copy the
-	// data dir bytes, tear the WAL tail (the mid-write signature), restart on
-	// the same address.
+	// data dir bytes, leave a torn append on the WAL tail (the mid-write
+	// signature), restart on the same address.
 	var merged temporal.Stream
 	preStable := temporal.MinTime
 	for preStable < target {
@@ -560,7 +590,17 @@ func TestSubscriberResumeAcrossRestart(t *testing.T) {
 		}
 	}
 	img := copyDataDir(t, dir)
-	tearNewestWAL(t, img, 2)
+	if every == checkpointsOff {
+		recs, torn, err := durable.ReadLog(newestWAL(t, img))
+		if err != nil || torn != 0 || len(recs) == 0 {
+			t.Fatalf("setup: WAL image unreadable: %d records, %d torn bytes, err %v", len(recs), torn, err)
+		}
+		last := recs[len(recs)-1]
+		if last.Kind != durable.RecEmit || last.Els[len(last.Els)-1] != temporal.Stable(target) {
+			t.Fatalf("setup: WAL ends in %v %v, want the emit of stable(%v)", last.Kind, last.Els, target)
+		}
+	}
+	appendTornRecord(t, img)
 	p.Close()
 	s.Close()
 

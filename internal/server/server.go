@@ -251,9 +251,10 @@ type Options struct {
 	// §8). 0 or 1 selects the classic single-merger backend.
 	Partitions int
 	// Rebalance, when non-nil and Partitions > 1, turns on adaptive hot-key
-	// repartitioning: the pool samples per-slot routed load and live-migrates
-	// routing slots between partition workers when one runs hot (DESIGN.md
-	// §11). Zero-valued fields take the partition.RebalanceConfig defaults.
+	// repartitioning: the pool samples per-slot routed load and, when one
+	// partition worker runs hot, pauses briefly to move routing slots (and
+	// their merge state) to the cold ones (DESIGN.md §11). Zero-valued fields
+	// take the partition.RebalanceConfig defaults.
 	Rebalance *partition.RebalanceConfig
 
 	// MemBudget, when > 0, bounds the merge state resident in memory (in
