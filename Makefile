@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race stress cover bench bench-e2e chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak fuzz experiments scale bench-compare diffcheck diffcheck-race clean
+.PHONY: all check build vet test race stress cover bench bench-e2e chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak fuzz examples experiments scale diffcheck diffcheck-race clean
 
 all: build vet test
 
@@ -10,9 +10,10 @@ all: build vet test
 # concurrent packages, the repeated-run stress of the tests that have flaked,
 # the seeded chaos soaks (single-instance and partitioned), the
 # adaptive-repartitioning soak, the crash/recover soak, the
-# budget-constrained out-of-core spill soak, the broadcast fan-out soak, and
-# a race-enabled differential sweep over the trimmed config grid.
-check: build vet test race stress cover chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak diffcheck-race
+# budget-constrained out-of-core spill soak, the broadcast fan-out soak, a
+# race-enabled differential sweep over the trimmed config grid, and every
+# example run end to end.
+check: build vet test race stress cover chaos partition-soak rebalance-soak crash-soak spill-soak fanout-soak diffcheck-race examples
 
 build:
 	$(GO) build ./...
@@ -141,28 +142,20 @@ diffcheck:
 diffcheck-race:
 	$(GO) run -race ./cmd/lmcheck -seeds 25 -quick
 
+# Build and run every example; each exits non-zero when its merged output
+# is not the logical result it checks against.
+examples:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
+
 # Regenerate every paper figure/table at paper scale (see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/lmbench
 
-# Keyed scale-out curve: throughput vs partition count, uniform and
-# hot-key-skewed (see EXPERIMENTS.md "Scaling" and BENCH_PR4.json).
+# Keyed scale-out curve: throughput vs partition count, uniform,
+# hot-key-skewed and rebalanced (see EXPERIMENTS.md "Scaling"): the only
+# measurement of -partitions > 2 and -rebalance.
 scale:
 	$(GO) run ./cmd/lmbench -exp scale -events 100000 -payload 64
-
-# Gate the partitioned path's per-element cost against the recorded PR-4
-# baseline (>10% ns/element growth on any multi-partition point fails), and
-# the broadcast fan-out curve against the recorded PR-9 run: encode-once
-# invariants (encode work or allocation varying with subscriber count), the
-# at-rest invariants new in PR 10 (server goroutines flat vs N, <=2KiB
-# resident per idle subscriber), and the cross-file alloc comparison. The
-# alloc tolerance is 25% for the PR9->PR10 transition: the pooled gather
-# buffers moved ~100B/el of allocation inside the measured window that the
-# per-subscriber writers previously allocated at attach time (see
-# BENCH_PR10.json).
-bench-compare:
-	$(GO) run ./cmd/lmbenchcmp -old BENCH_PR4.json -new BENCH_PR6.json
-	$(GO) run ./cmd/lmbenchcmp -fanout -tolerance 0.25 -old BENCH_PR9.json -new BENCH_PR10.json
 
 clean:
 	$(GO) clean ./...

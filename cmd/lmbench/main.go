@@ -78,7 +78,7 @@ func main() {
 	scale := bench.Scale{Events: *events, PayloadBytes: *payload}
 	var ids []string
 	if *exp == "all" {
-		ids = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "tableiv", "scale", "ablation-policies", "ablation-feedback", "ablation-jumpstart", "spill", "fanout"}
+		ids = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "tableiv", "scale", "ablation-policies", "ablation-feedback", "ablation-jumpstart"}
 	} else {
 		ids = strings.Split(*exp, ",")
 	}

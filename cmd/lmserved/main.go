@@ -70,7 +70,6 @@ func serve(args []string) {
 	fsync := fs.Bool("fsync", false, "fsync every WAL append (survives power loss, not just process death)")
 	memBudget := fs.Int("mem-budget", 0, "bound resident merge state to this many bytes: frozen agreed state spills to sorted on-disk runs (under -data-dir/spill when set) and replays on demand (0 disables)")
 	creditDeadline := fs.Duration("credit-deadline", 0, "evict a binary (v2) subscriber that stays credit-stalled this long; 0 = server default")
-	fanoutWorkers := fs.Int("fanout-workers", 0, "delivery worker pool size for binary (v2) subscribers: N subscribers share this many writer goroutines instead of one each; 0 = max(2, GOMAXPROCS)")
 	fs.Parse(args)
 
 	c, err := parseCase(*caseName)
@@ -79,8 +78,7 @@ func serve(args []string) {
 	}
 	opts := server.Options{Case: c, FeedbackLag: -1, Partitions: *parts,
 		DataDir: *dataDir, CheckpointEvery: *ckptEvery, Fsync: *fsync,
-		MemBudget: *memBudget, CreditDeadline: *creditDeadline,
-		FanoutWorkers: *fanoutWorkers}
+		MemBudget: *memBudget, CreditDeadline: *creditDeadline}
 	if *rebalance {
 		if *parts <= 1 {
 			fatal(fmt.Errorf("-rebalance needs -partitions > 1"))

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	"lmerge"
@@ -87,8 +88,12 @@ func main() {
 
 	fmt.Printf("\nsubscriber received %d merged elements\n", elements)
 	fmt.Printf("merged TDB: %d events, stable point %v\n", out.Len(), out.Stable())
-	fmt.Printf("equals logical query result: %v\n", out.Equal(script.TDB()))
+	ok := out.Equal(script.TDB())
+	fmt.Printf("equals logical query result: %v\n", ok)
 	st := srv.Stats()
 	fmt.Printf("server stats: in=%d out=%d dropped=%d warnings=%d\n",
 		st.InElements(), st.OutElements(), st.Dropped, st.ConsistencyWarnings)
+	if !ok {
+		os.Exit(1)
+	}
 }

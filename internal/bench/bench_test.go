@@ -159,7 +159,7 @@ func TestTableIVShape(t *testing.T) {
 
 func TestExperimentsRegistry(t *testing.T) {
 	reg := Experiments()
-	if len(reg) != 17 {
+	if len(reg) != 15 {
 		t.Fatalf("registry has %d experiments", len(reg))
 	}
 	for id, fn := range reg {
@@ -187,25 +187,5 @@ func TestScalePartitionsShape(t *testing.T) {
 		if r.SkewImbalance[i] < 1 {
 			t.Fatalf("imbalance %f < 1 at %d partitions", r.SkewImbalance[i], r.Partitions[i])
 		}
-	}
-}
-
-func TestSpillBoundShape(t *testing.T) {
-	r := SpillBound(Scale{Events: 1600, PayloadBytes: 16})
-	if len(r.Events) != 4 || len(r.Table.Rows) != 4 {
-		t.Fatalf("spill curve has %d points", len(r.Events))
-	}
-	last := len(r.Events) - 1
-	// The unbounded index accumulates with the population; under the budget
-	// the largest point must spill (runs written) and stay well below it.
-	if r.UnboundedPeak[last] <= r.UnboundedPeak[0] {
-		t.Errorf("unbounded peak not growing: %v", r.UnboundedPeak)
-	}
-	if r.RunsWritten[last] == 0 || r.SpilledBytes[last] == 0 {
-		t.Errorf("largest point never spilled: runs=%v spilled=%v", r.RunsWritten, r.SpilledBytes)
-	}
-	if r.BoundedPeak[last]*2 > r.UnboundedPeak[last] {
-		t.Errorf("budget not binding: bounded %d vs unbounded %d",
-			r.BoundedPeak[last], r.UnboundedPeak[last])
 	}
 }

@@ -114,7 +114,5 @@ func Experiments() map[string]func(Scale) *Table {
 		"ablation-feedback":  func(s Scale) *Table { return AblationFeedbackLag(s).Table },
 		"ablation-jumpstart": func(s Scale) *Table { return AblationJumpstart(s).Table },
 		"freshness":          func(s Scale) *Table { return FreshnessUnderLag(s).Table },
-		"spill":              func(s Scale) *Table { return SpillBound(s).Table },
-		"fanout":             func(s Scale) *Table { return FanoutBroadcast(s).Table },
 	}
 }

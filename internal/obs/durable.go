@@ -27,6 +27,8 @@ type Durability struct {
 	recoveries atomic.Int64
 	recLast    atomic.Int64
 	recRing    [recoveryWindow]atomic.Int64
+
+	walErr atomic.Pointer[string] // first failed WAL append
 }
 
 // WALAppended records one WAL record of n framed bytes hitting the file.
@@ -36,6 +38,16 @@ func (d *Durability) WALAppended(n int64) {
 	}
 	d.walRecords.Add(1)
 	d.walBytes.Add(n)
+}
+
+// WALFailed records the WAL append failure that made the state non-durable;
+// only the first one is kept.
+func (d *Durability) WALFailed(err error) {
+	if d == nil {
+		return
+	}
+	msg := err.Error()
+	d.walErr.CompareAndSwap(nil, &msg)
 }
 
 // Fsynced records one fsync on the WAL file.
@@ -85,6 +97,9 @@ type DurabilitySnapshot struct {
 	RecoveryP95NS   float64 `json:"recovery_p95_ns"`
 	RecoveryP99NS   float64 `json:"recovery_p99_ns"`
 	RecoveryMaxNS   float64 `json:"recovery_max_ns"`
+	// WALError is the first failed WAL append (empty while the log is
+	// healthy); once set, the server merges and delivers nothing more.
+	WALError string `json:"wal_error,omitempty"`
 }
 
 // Snapshot copies the counters and summarises the recovery-duration ring.
@@ -102,6 +117,9 @@ func (d *Durability) Snapshot() DurabilitySnapshot {
 		TornBytes:       d.tornBytes.Load(),
 		Recoveries:      d.recoveries.Load(),
 		RecoveryLastNS:  d.recLast.Load(),
+	}
+	if msg := d.walErr.Load(); msg != nil {
+		s.WALError = *msg
 	}
 	n := s.Recoveries
 	if n == 0 {

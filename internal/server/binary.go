@@ -68,8 +68,9 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader) {
 // stable punctuation, drained input); FF/DETACH/ACK control flows back as
 // frames through the same pubState the supervisor uses.
 func (s *Server) serveBinaryPublisher(conn net.Conn, fr *wire.Reader, joinTime temporal.Time) {
-	h, stable, ok := s.attachPublisher(conn, joinTime, true)
-	if !ok {
+	h, stable, err := s.attachPublisher(conn, joinTime, true)
+	if err != nil {
+		conn.Write(wire.AppendErr(nil, err.Error()))
 		return
 	}
 	defer h.finish()

@@ -25,6 +25,13 @@ import (
 // the sharded pool's worker emissions are drained by Sharded.Cut before the
 // checkpoint captures anything. mu guards the live Log pointer across rotations; it is
 // never held across a backend call.
+//
+// A failed append is sticky: err latches the first one, and every later
+// append returns it without writing. The server reads a non-nil error as
+// "this state is no longer durable" — the failed batch is not merged, no
+// further emission is delivered, new publishers are refused, and checkpoints
+// stop — so nothing is ever acknowledged or delivered that a restart would
+// not recover.
 type durability struct {
 	dir   string
 	fsync bool
@@ -36,6 +43,7 @@ type durability struct {
 	mu     sync.Mutex
 	log    *durable.Log
 	gen    uint64
+	err    error               // first failed append, latched (under mu)
 	emitEl [1]temporal.Element // reusable RecEmit scratch (under mu)
 
 	// suppress silences broadcast during recovery seeding: the seed stream's
@@ -65,32 +73,45 @@ func (d *durability) shared() func() {
 	return d.cpMu.RUnlock
 }
 
-// append logs one record to the current WAL generation.
+// append logs one record to the current WAL generation. It returns the
+// latched error once any append has failed.
 func (d *durability) append(r durable.Record) error {
 	if d == nil {
 		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.log == nil {
-		return nil
-	}
-	return d.log.Append(r)
+	return d.appendLocked(r)
 }
 
 // appendEmit logs one merged-output element at backlog index seq, reusing the
 // scratch element slot so the per-emission path does not allocate.
-func (d *durability) appendEmit(seq int, e temporal.Element) {
+func (d *durability) appendEmit(seq int, e temporal.Element) error {
 	if d == nil {
-		return
+		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.log == nil {
-		return
-	}
 	d.emitEl[0] = e
-	d.log.Append(durable.Record{Kind: durable.RecEmit, Seq: uint64(seq), Els: d.emitEl[:]})
+	return d.appendLocked(durable.Record{Kind: durable.RecEmit, Seq: uint64(seq), Els: d.emitEl[:]})
+}
+
+func (d *durability) appendLocked(r durable.Record) error {
+	if d.err != nil || d.log == nil {
+		return d.err
+	}
+	if err := d.log.Append(r); err != nil {
+		d.err = fmt.Errorf("server: WAL append failed, state no longer durable: %w", err)
+		d.tel.WALFailed(d.err)
+	}
+	return d.err
+}
+
+// failed returns the latched append error, if any.
+func (d *durability) failed() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
 }
 
 // suppressed reports whether recovery seeding is silencing emissions.
@@ -293,6 +314,11 @@ func (s *Server) checkpoint() error {
 	}
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
+	// A checkpoint after a failed append would commit state the WAL never
+	// covered: the error stays latched and nothing is written.
+	if err := d.failed(); err != nil {
+		return err
+	}
 	c := &durable.Checkpoint{Gen: d.gen + 1}
 	switch be := s.be.(type) {
 	case *partition.Sharded:

@@ -304,6 +304,99 @@ func corruptNewestCheckpoint(t *testing.T, dir string) {
 	}
 }
 
+// TestWALFailureStopsMergeAndDelivery: once a WAL append fails (here the
+// log file is closed under the server mid-stream), the failure is sticky —
+// nothing the WAL did not take is merged, acknowledged or delivered, new
+// publishers are refused, no checkpoint is written, and the durability
+// telemetry carries the error.
+func TestWALFailureStopsMergeAndDelivery(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableServer(t, dir, func(o *Options) { o.CheckpointEvery = time.Hour })
+	sub, err := Subscribe(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := make(chan int, 1)
+	go func() {
+		n := 0
+		for {
+			if _, ok := sub.Next(); !ok {
+				break
+			}
+			n++
+		}
+		received <- n
+	}()
+
+	sc := serverScript(700)
+	stream := sc.Render(gen.RenderOptions{Seed: 701, Disorder: 0.2, StableFreq: 0.05})
+	p, err := Connect(s.Addr(), temporal.MinTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	cut := len(stream) / 2
+	target := temporal.MinTime
+	for _, e := range stream[:cut] {
+		if e.Kind == temporal.KindStable {
+			target = temporal.MaxT(target, e.T())
+		}
+	}
+	if target == temporal.MinTime {
+		t.Fatal("prefix carries no stable; test is vacuous")
+	}
+	if err := p.SendStream(stream[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	waitStable(t, s, target)
+
+	s.dur.mu.Lock()
+	log := s.dur.log
+	s.dur.mu.Unlock()
+	log.Close() // every later Append fails with os.ErrInvalid
+	// The server may hang up mid-send, so a write error here is expected.
+	_ = p.SendStream(stream[cut:])
+	select {
+	case <-p.Acked():
+		t.Fatal("publisher acknowledged a stream whose tail the WAL never took")
+	case <-p.sigDone:
+		// The server answered the failed batch with ERR and hung up.
+	case <-time.After(10 * time.Second):
+		t.Fatal("publisher neither refused nor acknowledged")
+	}
+	if p2, err := Connect(s.Addr(), temporal.MinTime); err == nil {
+		p2.Close()
+		t.Fatal("new publisher accepted after the WAL failed")
+	}
+	if msg := s.Durability().WALError; msg == "" {
+		t.Fatal("durability snapshot does not report the WAL failure")
+	}
+
+	recs, _, err := durable.ReadLog(log.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	emits := 0
+	for _, r := range recs {
+		if r.Kind == durable.RecEmit {
+			emits++
+		}
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close reported no error after the WAL failed")
+	}
+	if cks, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.lmck")); len(cks) != 0 {
+		t.Fatalf("checkpoint written after the WAL failed: %v", cks)
+	}
+	n := <-received
+	if n == 0 {
+		t.Fatal("subscriber received nothing before the failure; test is vacuous")
+	}
+	if n > emits {
+		t.Fatalf("subscriber received %d elements, the WAL holds only %d emissions", n, emits)
+	}
+}
+
 // TestCheckpointPrunesGenerations verifies the retention policy end to end:
 // after several checkpoints, old generations are gone but at least two
 // checkpoint generations remain for corruption fallback.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -188,6 +189,10 @@ func (fl *fanLoop) drop(c *csub) {
 	fl.mu.Unlock()
 }
 
+// fanoutWorkers sizes the binary delivery worker pool: the fixed set of
+// goroutines multiplexing every binary subscriber's socket writes.
+func fanoutWorkers() int { return max(2, runtime.GOMAXPROCS(0)) }
+
 // ensureWorkersLocked starts the worker pool and the eviction sweeper on the
 // first binary subscriber; servers that never see one never pay for them.
 func (fl *fanLoop) ensureWorkersLocked() {
@@ -195,7 +200,7 @@ func (fl *fanLoop) ensureWorkersLocked() {
 		return
 	}
 	fl.started = true
-	n := fl.s.opts.FanoutWorkers
+	n := fanoutWorkers()
 	fl.s.wireTel.SetWorkers(int64(n))
 	fl.s.wg.Add(n + 1)
 	for i := 0; i < n; i++ {

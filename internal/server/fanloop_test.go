@@ -96,11 +96,78 @@ func TestFanLoopIdleSubscribersCostNoGoroutines(t *testing.T) {
 		t.Fatalf("%d idle subscribers grew goroutines %d → %d; delivery must be O(worker pool)", extra, base, after)
 	}
 	ws := s.WireStats()
-	if ws.FanoutWorkers != int64(s.opts.FanoutWorkers) {
-		t.Fatalf("worker gauge %d, want %d", ws.FanoutWorkers, s.opts.FanoutWorkers)
+	if want := int64(max(2, runtime.GOMAXPROCS(0))); ws.FanoutWorkers != want {
+		t.Fatalf("worker gauge %d, want max(2, GOMAXPROCS) = %d", ws.FanoutWorkers, want)
 	}
 	if ws.BinSubscribers != extra+1 {
 		t.Fatalf("subscriber gauge %d, want %d", ws.BinSubscribers, extra+1)
+	}
+}
+
+// TestFanLoopIdleResidentPerSubscriber: a thousand idle binary subscribers,
+// wired straight in over net.Pipe through ServeConn, cost the server no
+// goroutine each and at most 2 KiB of post-GC heap each — one csub and one
+// cursor, not a writer goroutine with its buffers. Every client half, buffer
+// and handshake is allocated before the baseline, and the handshakes run one
+// at a time so no crowd of concurrent handler goroutines inflates the heap.
+func TestFanLoopIdleResidentPerSubscriber(t *testing.T) {
+	const n = 1000
+	const maxPerSub = 2048
+	s := newTestServer(t)
+	cli := make([]net.Conn, n+1)
+	srv := make([]net.Conn, n+1)
+	for i := range cli {
+		cli[i], srv[i] = net.Pipe()
+	}
+	t.Cleanup(func() {
+		for _, c := range cli {
+			c.Close()
+		}
+	})
+	hello := wire.AppendHelloSub(wire.AppendPreamble(nil), 0, 1<<20)
+	buf := make([]byte, 256)
+	attach := func(i int) {
+		if err := s.ServeConn(srv[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli[i].Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(cli[i], buf[:wire.FrameHeader]); err != nil {
+			t.Fatalf("subscriber %d: reading OK header: %v", i, err)
+		}
+		fl, ok := wire.FrameSize(buf[:wire.FrameHeader])
+		if !ok || fl > len(buf) {
+			t.Fatalf("subscriber %d: implausible OK frame header % x", i, buf[:wire.FrameHeader])
+		}
+		if _, err := io.ReadFull(cli[i], buf[:fl-wire.FrameHeader]); err != nil {
+			t.Fatalf("subscriber %d: reading OK body: %v", i, err)
+		}
+	}
+	// The first subscriber starts the worker pool and the sweeper.
+	attach(0)
+	g0 := settleGoroutines(t)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+
+	for i := 1; i <= n; i++ {
+		attach(i)
+	}
+	g1 := settleGoroutines(t)
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+
+	if got := s.Subscribers(); got != n+1 {
+		t.Fatalf("registered %d subscribers, want %d", got, n+1)
+	}
+	if g1 > g0+2 {
+		t.Fatalf("%d idle subscribers grew goroutines %d → %d; delivery must be O(worker pool)", n, g0, g1)
+	}
+	perSub := (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / n
+	t.Logf("%d idle subscribers: goroutines %d → %d, %d B resident each", n, g0, g1, perSub)
+	if perSub > maxPerSub {
+		t.Fatalf("idle subscriber costs %d B resident, want <= %d", perSub, maxPerSub)
 	}
 }
 

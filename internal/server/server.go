@@ -28,9 +28,16 @@
 // publisher whose watermark trails the merged stable point by more than the
 // straggler threshold is force-detached (a "DETACH straggler" line, then the
 // connection closes) so state and feedback never accumulate behind a dead or
-// lagging replica. Subscribers are fed through per-subscriber buffered
-// queues: a slow consumer is disconnected when its queue overflows and can
-// resume with FROM, while delivery to everyone else is never stalled.
+// lagging replica. A slow subscriber never stalls delivery to the others:
+// text subscribers are fed through per-subscriber buffered queues and are
+// disconnected when theirs overflows; binary (v2) subscribers read the
+// shared broadcast log through their own cursors under byte credit and are
+// evicted only when credit-stalled past a deadline. Either kind can resume
+// positionally with FROM.
+//
+// With a data directory, every publisher batch is written to the WAL before
+// it is merged and every emission before it is delivered; the first failed
+// append stops both (durability.go).
 package server
 
 import (
@@ -42,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -239,11 +245,6 @@ type Options struct {
 	// writer — nobody else is perturbed — and only the deadline disconnects.
 	// Default 15s.
 	CreditDeadline time.Duration
-	// FanoutWorkers sizes the binary delivery worker pool: the fixed set of
-	// goroutines multiplexing every binary subscriber's socket writes
-	// (fanloop.go). Started lazily on the first binary subscriber. Default
-	// max(2, GOMAXPROCS).
-	FanoutWorkers int
 	// Partitions, when > 1, selects the keyed scale-out backend: a
 	// partition.Sharded pool of that many merger instances, each on its own
 	// worker goroutine, fed by payload-hash routing with stables broadcast
@@ -297,12 +298,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CreditDeadline <= 0 {
 		o.CreditDeadline = 15 * time.Second
-	}
-	if o.FanoutWorkers <= 0 {
-		o.FanoutWorkers = runtime.GOMAXPROCS(0)
-		if o.FanoutWorkers < 2 {
-			o.FanoutWorkers = 2
-		}
 	}
 	return o
 }
@@ -696,14 +691,14 @@ func lagsBehind(wm, stable, lag temporal.Time) bool {
 // emission serialisation (the single backend's lock, or the sharded pool's
 // emit mutex) and takes outMu for the subscriber state. Delivery is
 // encode-once, write-many in both protocols: the element is marshalled at
-// most once as a text line shared across every text subscriber queue, and
-// framed at most once into the shared block log with the span fanned out to
-// every binary subscriber queue — per-subscriber cost is a queue entry, not
-// an encode. Each subscriber drains through its own queue, so one slow or
-// blocked consumer can neither stall the merge nor delay delivery to the
-// others; a text subscriber is dropped on queue overflow (it may resume
-// positionally with FROM), a binary one pauses on credit and is evicted only
-// by the deadline backstop.
+// most once as a text line pushed to every text subscriber queue, and framed
+// at most once into the shared broadcast log, which every binary subscriber
+// reads through its own cursor — per-subscriber cost is a queue entry (text)
+// or nothing at all (binary), never an encode. One slow or blocked consumer
+// can neither stall the merge nor delay delivery to the others; a text
+// subscriber is dropped on queue overflow (it may resume positionally with
+// FROM), a binary one pauses on credit and is evicted only by the deadline
+// backstop.
 func (s *Server) broadcast(e temporal.Element) {
 	// Recovery seeding re-merges what the restored backlog already holds;
 	// those re-emissions are silenced wholesale (durability.go).
@@ -715,7 +710,12 @@ func (s *Server) broadcast(e temporal.Element) {
 	// Write-ahead of delivery: the emission is WAL-logged before any
 	// subscriber queue sees it, so a restart's restored backlog is always a
 	// superset of what was delivered and positional FROM resume stays exact.
-	s.dur.appendEmit(len(s.backlog), e)
+	// An emission the WAL did not take is not delivered (nor, the failure
+	// being sticky, is any later one).
+	if err := s.dur.appendEmit(len(s.backlog), e); err != nil {
+		s.outMu.Unlock()
+		return
+	}
 	s.backlog = append(s.backlog, e)
 	if len(s.subs) > 0 {
 		if line, err := temporal.MarshalElement(e); err == nil {
@@ -762,14 +762,14 @@ func (s *Server) acceptLoop() {
 // ServeConn runs the server's connection handler on an already-established
 // connection (either protocol), exactly as if it had arrived through the
 // listener. In-process harnesses use it to drive subscriber counts past the
-// OS file-descriptor ceiling (lmbench's fan-out experiment wires thousands
-// of net.Pipe-style connections straight in).
+// OS file-descriptor ceiling (TestFanLoopIdleResidentPerSubscriber wires a
+// thousand net.Pipe connections straight in).
 func (s *Server) ServeConn(conn net.Conn) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		conn.Close()
-		return errors.New("server closed")
+		return errServerClosed
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -885,31 +885,39 @@ type pubHandler struct {
 	pending temporal.Stream
 }
 
+// errServerClosed refuses a publisher that arrives while the server shuts
+// down.
+var errServerClosed = errors.New("server closed")
+
 // attachPublisher runs the shared attach sequence: backend attach, WAL
 // record, and registration. Attach runs outside s.mu — the backend
 // serialises internally and (sharded) may block on worker queues. The
 // checkpoint barrier's read side spans attach + WAL record + registration,
-// so a checkpoint cut sees either all of them or none. ok is false when the
-// server is closed.
-func (s *Server) attachPublisher(conn net.Conn, joinTime temporal.Time, bin bool) (h *pubHandler, stable temporal.Time, ok bool) {
+// so a checkpoint cut sees either all of them or none. It fails when the
+// server is closed or the WAL has stopped taking records.
+func (s *Server) attachPublisher(conn net.Conn, joinTime temporal.Time, bin bool) (*pubHandler, temporal.Time, error) {
 	ps := &pubState{conn: conn, bin: bin, watermark: temporal.MinTime, attachedAt: time.Now(), joinTime: joinTime}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, 0, false
+		return nil, 0, errServerClosed
 	}
 	s.mu.Unlock()
 	unlock := s.dur.shared()
 	id := s.be.Attach(joinTime)
-	s.dur.append(durable.Record{Kind: durable.RecAttach, ID: int64(id), JoinTime: joinTime})
-	stable = s.be.MaxStable()
+	if err := s.dur.append(durable.Record{Kind: durable.RecAttach, ID: int64(id), JoinTime: joinTime}); err != nil {
+		s.be.Detach(id)
+		unlock()
+		return nil, 0, err
+	}
+	stable := s.be.MaxStable()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.dur.append(durable.Record{Kind: durable.RecDetach, ID: int64(id)})
 		s.be.Detach(id)
 		unlock()
-		return nil, 0, false
+		return nil, 0, errServerClosed
 	}
 	s.pubs[id] = ps
 	s.pubCount++
@@ -920,12 +928,13 @@ func (s *Server) attachPublisher(conn net.Conn, joinTime temporal.Time, bin bool
 	ps.watermark = stable
 	s.mu.Unlock()
 	unlock()
-	return &pubHandler{s: s, ps: ps, id: id, pending: make(temporal.Stream, 0, pubBatchSize)}, stable, true
+	return &pubHandler{s: s, ps: ps, id: id, pending: make(temporal.Stream, 0, pubBatchSize)}, stable, nil
 }
 
 // flush pushes the pending batch through the merge. Log before merge, merge
-// before ack: once the publisher hears ACK, the batch survives a crash. The
-// barrier's read side keeps the couple atomic against a checkpoint cut.
+// before ack: once the publisher hears ACK, the batch survives a crash, and a
+// batch the WAL did not take is not merged at all. The barrier's read side
+// keeps the couple atomic against a checkpoint cut.
 func (h *pubHandler) flush() error {
 	if len(h.pending) == 0 {
 		return nil
@@ -937,8 +946,10 @@ func (h *pubHandler) flush() error {
 		}
 	}
 	unlock := h.s.dur.shared()
-	h.s.dur.append(durable.Record{Kind: durable.RecBatch, ID: int64(h.id), Els: h.pending})
-	err := h.s.be.ProcessBatch(h.id, h.pending)
+	err := h.s.dur.append(durable.Record{Kind: durable.RecBatch, ID: int64(h.id), Els: h.pending})
+	if err == nil {
+		err = h.s.be.ProcessBatch(h.id, h.pending)
+	}
 	unlock()
 	h.s.mu.Lock()
 	h.ps.watermark = temporal.MaxT(h.ps.watermark, wm)
@@ -966,7 +977,8 @@ func (h *pubHandler) add(e temporal.Element, more bool) error {
 }
 
 // finish merges anything parsed before the disconnect (it is part of the
-// stream) and detaches the publisher's state.
+// stream) and detaches the publisher's state. A failed detach record leaves
+// the error latched; the backend releases the stream either way.
 func (h *pubHandler) finish() {
 	h.flush()
 	unlock := h.s.dur.shared()
@@ -980,8 +992,9 @@ func (h *pubHandler) finish() {
 }
 
 func (s *Server) servePublisher(conn net.Conn, r *bufio.Reader, joinTime temporal.Time) {
-	h, stable, ok := s.attachPublisher(conn, joinTime, false)
-	if !ok {
+	h, stable, err := s.attachPublisher(conn, joinTime, false)
+	if err != nil {
+		fmt.Fprintf(conn, "ERR %v\n", err)
 		return
 	}
 	defer h.finish()
